@@ -112,7 +112,7 @@ func printLoad(target string, qps float64, warmup, duration time.Duration, worke
 		if err := rep.CheckSLO(slo); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "SLO: worst p99 %v within %v\n", rep.P99().Round(time.Microsecond), slo)
+		fmt.Fprintf(out, "SLO: worst p99 %v within %v, no dropped arrivals or errors\n", rep.P99().Round(time.Microsecond), slo)
 	}
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // KernelBenchRow compares the retained sequential reference kernel against
-// the fused CommPlan kernel for one PAC evaluation primitive.
+// the box-contact CommPlan kernel for one PAC evaluation primitive.
 type KernelBenchRow struct {
 	// Kernel names the primitive: EvalQuality, Adjacency, Migration.
 	Kernel string

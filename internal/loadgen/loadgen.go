@@ -181,13 +181,22 @@ func (r *Report) P99() time.Duration {
 	return time.Duration(worst * float64(time.Millisecond))
 }
 
-// CheckSLO returns an error when any endpoint's p99 exceeds slo
-// (slo <= 0 disables the gate).
+// CheckSLO returns an error when any arrival was dropped, any endpoint
+// saw errors, or any endpoint's p99 exceeds slo (slo <= 0 disables the
+// gate). Dropped arrivals are never timed and failed requests are not a
+// served load, so a run with either does not meet the SLO whatever its
+// p99.
 func (r *Report) CheckSLO(slo time.Duration) error {
 	if slo <= 0 {
 		return nil
 	}
+	if r.Dropped > 0 {
+		return fmt.Errorf("loadgen: %d of %d arrivals dropped", r.Dropped, r.Intended)
+	}
 	for _, ep := range r.Endpoints {
+		if ep.Errors > 0 {
+			return fmt.Errorf("loadgen: %s had %d errors in %d requests", ep.Endpoint, ep.Errors, ep.Requests)
+		}
 		if got := time.Duration(ep.P99Ms * float64(time.Millisecond)); got > slo {
 			return fmt.Errorf("loadgen: %s p99 %v exceeds SLO %v", ep.Endpoint, got, slo)
 		}

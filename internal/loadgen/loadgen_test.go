@@ -188,6 +188,25 @@ func TestCheckSLO(t *testing.T) {
 	if got := rep.P99(); got != 80*time.Millisecond {
 		t.Errorf("worst p99 %v, want 80ms", got)
 	}
+
+	// Drops and errors fail an enabled gate even when every p99 is in
+	// bounds, and pass a disabled one.
+	dropped := &Report{Intended: 1000, Issued: 532, Dropped: 468, Endpoints: rep.Endpoints}
+	if err := dropped.CheckSLO(250 * time.Millisecond); err == nil {
+		t.Error("468 dropped arrivals passed the SLO")
+	}
+	errored := &Report{Endpoints: []EndpointReport{
+		{Endpoint: "submit", Requests: 100, Errors: 9, P99Ms: 12},
+		{Endpoint: "status", Requests: 100, P99Ms: 80},
+	}}
+	if err := errored.CheckSLO(250 * time.Millisecond); err == nil {
+		t.Error("9 endpoint errors passed the SLO")
+	}
+	for _, r := range []*Report{dropped, errored} {
+		if err := r.CheckSLO(0); err != nil {
+			t.Errorf("disabled SLO failed: %v", err)
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -1,20 +1,18 @@
 package partition
 
 import (
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/samr"
 )
 
-// CommPlan is everything the runtime derives from rasterizing one
-// assignment: the communication statistics, the cross-processor unit-pair
+// CommPlan is everything the runtime derives from one assignment's unit
+// boxes: the communication statistics, the cross-processor unit-pair
 // adjacencies a distributed executor must realize, and the per-level unit
-// rasters themselves (reused by MigrationFrom at the next regrid instead
-// of re-rasterizing the outgoing assignment). Build it once per regrid and
+// index itself (reused by MigrationFrom at the next regrid instead of
+// re-indexing the outgoing assignment). Build it once per regrid and
 // thread it through every layer that needs any of the three.
 //
 // The plan is immutable after construction and safe for concurrent reads.
@@ -26,86 +24,76 @@ type CommPlan struct {
 	// by BuildCommPlan; BuildRasterPlan leaves it zero.
 	Stats CommStats
 	// Pairs lists every cross-processor unit-pair adjacency in canonical
-	// order (levels ascending, then sweep order z, y, x; +x/+y/+z faces
-	// before the coarse-parent relation at each cell). Only populated by
-	// BuildCommPlan.
+	// order: levels ascending, then by the pair's first contact cell in
+	// sweep order z, y, x, with +x/+y/+z faces before the coarse-parent
+	// relation at one cell. Only populated by BuildCommPlan.
 	Pairs []UnitPair
 
-	rasters map[int]*levelRaster
+	index unitIndex
 }
 
-// parallelCellThreshold is the swept-cell count below which the kernels
-// stay on the calling goroutine: tiny rasters are not worth the fan-out.
-// Results are bit-identical either way.
-const parallelCellThreshold = 1 << 15
-
-// BuildCommPlan rasterizes the assignment once and runs the fused
-// single-pass communication kernel over it: one strided sweep per level
-// computes the intra-level ghost faces and the inter-level parent
-// transfers together, parallelized across z-slabs. The result is
-// bit-identical to ReferenceCommunication at any GOMAXPROCS: every
-// contribution is a multiple of a quarter face accumulated in integers,
-// so no floating-point rounding depends on the slab decomposition.
+// BuildCommPlan indexes the assignment's units once and runs the
+// box-contact kernel over the index: every pair of face-touching units on
+// a level, and every fine unit overlapping a refined coarse unit, is one
+// contact. The result is bit-identical to ReferenceCommunication at any
+// GOMAXPROCS: every contribution is an integer count of quarter faces, so
+// no floating-point rounding depends on the order contacts are found in.
 func BuildCommPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
 	start := time.Now()
-	p := &CommPlan{H: h, A: a, rasters: unitRasters(a)}
-	p.Stats, p.Pairs = sweepComm(h, a, p.rasters)
+	p := &CommPlan{H: h, A: a, index: buildUnitIndex(a)}
+	p.Stats, p.Pairs = contactComm(h, a, p.index)
 	metricPACSeconds.Observe(time.Since(start).Seconds())
 	return p
 }
 
-// BuildRasterPlan rasterizes the assignment without running the
-// communication sweep: Stats and Pairs are left empty. Use it when a plan
-// is needed only as an operand of MigrationFrom (e.g. the previous
-// assignment of a freshly resumed run, whose communication was already
-// accounted in an earlier cycle).
+// BuildRasterPlan indexes the assignment without running the contact
+// kernel: Stats and Pairs are left empty. Use it when a plan is needed
+// only as an operand of MigrationFrom (e.g. the previous assignment of a
+// freshly resumed run, whose communication was already accounted in an
+// earlier cycle).
 func BuildRasterPlan(h *samr.Hierarchy, a *Assignment) *CommPlan {
-	return &CommPlan{H: h, A: a, rasters: unitRasters(a)}
+	return &CommPlan{H: h, A: a, index: buildUnitIndex(a)}
 }
 
 // MigrationFrom returns the fraction of grid data present in both plans'
 // configurations whose owning processor changed — the paper's "amount of
-// data migration" component, with prev as the outgoing configuration. The
-// sweep reuses both plans' cached rasters; nothing is re-rasterized.
-// Bit-identical to ReferenceMigrationFraction at any GOMAXPROCS.
+// data migration" component, with prev as the outgoing configuration. It
+// sums the volumes of prevUnit ∩ newUnit per level over both plans' unit
+// indexes; nothing is re-indexed. Bit-identical to
+// ReferenceMigrationFraction at any GOMAXPROCS.
 func (p *CommPlan) MigrationFrom(prev *CommPlan) float64 {
 	if p == nil || prev == nil {
 		return 0
 	}
-	newOwners := ownersOf(p.A)
-	prevOwners := ownersOf(prev.A)
-
-	levels := make([]int, 0, len(p.rasters))
-	for l := range p.rasters {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	var tasks []*migTask
-	var cells int64
-	for _, l := range levels {
-		nr := p.rasters[l]
-		pr, ok := prev.rasters[l]
-		if !ok {
-			continue
-		}
-		common, ok := nr.box.Intersect(pr.box)
-		if !ok {
-			continue
-		}
-		cells += common.Volume()
-		for _, zr := range slabRanges(common.Lo[2], common.Hi[2], workersFor(common.Volume())) {
-			tasks = append(tasks, &migTask{
-				pr: pr, nr: nr, common: common,
-				prevOwners: prevOwners, newOwners: newOwners,
-				zLo: zr[0], zHi: zr[1],
-			})
-		}
-	}
-	forEachTask(len(tasks), workersFor(cells), func(i, _ int) { tasks[i].run() })
 	var both, moved int64
-	for _, t := range tasks {
-		both += t.both
-		moved += t.moved
+	for l, nl := range p.index {
+		if nl == nil || l >= len(prev.index) || prev.index[l] == nil {
+			continue
+		}
+		pl := prev.index[l]
+		for i, nb := range nl.boxes {
+			no := nl.owner[i]
+			lo, hi, ok := pl.span(nb)
+			if !ok {
+				continue
+			}
+			for z := lo[2]; z <= hi[2]; z++ {
+				for y := lo[1]; y <= hi[1]; y++ {
+					r0, r1 := pl.row(y, z, lo[0], hi[0])
+					for j := r0; j < r1; j++ {
+						in, ok := nb.Intersect(pl.boxes[j])
+						if !ok {
+							continue
+						}
+						v := in.Volume()
+						both += v
+						if pl.owner[j] != no {
+							moved += v
+						}
+					}
+				}
+			}
+		}
 	}
 	if both == 0 {
 		return 0
@@ -113,359 +101,327 @@ func (p *CommPlan) MigrationFrom(prev *CommPlan) float64 {
 	return float64(moved) / float64(both)
 }
 
-// ownersOf widens the assignment's owner slice for raster-side lookups.
-func ownersOf(a *Assignment) []int32 {
-	owners := make([]int32, len(a.Owner))
-	for i, o := range a.Owner {
-		owners[i] = int32(o)
-	}
-	return owners
+// indexBuilds counts per-assignment unit-index builds process-wide.
+// Regrid paths are expected to index each assignment exactly once (one
+// CommPlan shared by communication, adjacency, and migration); tests
+// assert on deltas of Rasterizations.
+var indexBuilds atomic.Uint64
+
+// Rasterizations returns the process-wide count of per-assignment
+// unit-index builds performed so far: one per BuildCommPlan or
+// BuildRasterPlan, none for any consumer of a built plan.
+func Rasterizations() uint64 { return indexBuilds.Load() }
+
+// unitIndex holds one levelIndex per level, indexed by level number; nil
+// where the assignment has no units on that level.
+type unitIndex []*levelIndex
+
+// levelIndex is a uniform bucket grid over one level's units, stored as
+// CSR: each unit sits in the bucket of its Lo corner, and buckets are laid
+// out x-fastest so one (y, z) row of buckets is one contiguous run. The
+// bucket edge on each axis is at least the largest unit extent on that
+// axis, so a unit intersecting a query box has its Lo corner within one
+// edge below the query — the candidate search never misses a unit.
+type levelIndex struct {
+	bbox  samr.Box   // bounding box of the level's units
+	edge  samr.Point // bucket edge per axis
+	dims  samr.Point // buckets per axis
+	start []int32    // bucket b holds positions start[b]:start[b+1]
+	ids   []int32    // unit indices, grouped by bucket, ascending within one
+	boxes []samr.Box // boxes[i] is a.Units[ids[i]].Box
+	owner []int32    // owner[i] is a.Owner[ids[i]]
 }
 
-// workersFor picks the worker count for a sweep over the given cell
-// count: GOMAXPROCS-wide unless the sweep is too small to fan out.
-func workersFor(cells int64) int {
-	w := runtime.GOMAXPROCS(0)
-	if w <= 1 || cells < parallelCellThreshold {
-		return 1
-	}
-	return w
-}
+// maxBucketsPerUnit caps the bucket grid of a sparse level: edges grow
+// until the grid holds at most this many buckets per unit (plus a small
+// constant), keeping the index O(units) however far apart units lie.
+const maxBucketsPerUnit = 8
 
-// slabRanges cuts [lo, hi) into roughly 2*workers contiguous z-slabs —
-// enough granularity for load balance without drowning small levels in
-// tasks. With workers == 1 the whole range is one slab.
-func slabRanges(lo, hi, workers int) [][2]int {
-	nz := hi - lo
-	if nz <= 0 {
-		return nil
+// buildUnitIndex builds the per-level bucket grids of an assignment.
+func buildUnitIndex(a *Assignment) unitIndex {
+	indexBuilds.Add(1)
+	depth := 0
+	for _, u := range a.Units {
+		depth = max(depth, u.Level+1)
 	}
-	slabs := 2 * workers
-	if slabs > nz {
-		slabs = nz
-	}
-	if slabs < 1 {
-		slabs = 1
-	}
-	chunk := (nz + slabs - 1) / slabs
-	var out [][2]int
-	for z := lo; z < hi; z += chunk {
-		end := z + chunk
-		if end > hi {
-			end = hi
+	idx := make(unitIndex, depth)
+	counts := make([]int, depth)
+	for _, u := range a.Units {
+		li := idx[u.Level]
+		if li == nil {
+			li = &levelIndex{bbox: u.Box}
+			idx[u.Level] = li
 		}
-		out = append(out, [2]int{z, end})
+		li.bbox = li.bbox.Bound(u.Box)
+		for d := 0; d < 3; d++ {
+			li.edge[d] = max(li.edge[d], u.Box.Dx(d))
+		}
+		counts[u.Level]++
 	}
-	return out
+	for l, li := range idx {
+		if li != nil {
+			li.grid(counts[l])
+		}
+	}
+	for _, u := range a.Units {
+		li := idx[u.Level]
+		li.start[li.bucket(u.Box.Lo)+1]++
+	}
+	for _, li := range idx {
+		if li == nil {
+			continue
+		}
+		for b := 1; b < len(li.start); b++ {
+			li.start[b] += li.start[b-1]
+		}
+		li.ids = make([]int32, li.start[len(li.start)-1])
+		li.boxes = make([]samr.Box, len(li.ids))
+		li.owner = make([]int32, len(li.ids))
+	}
+	// Fill with start[b] as the bucket's cursor, then shift the cursors
+	// (now each bucket's end) back into offsets.
+	for i, u := range a.Units {
+		li := idx[u.Level]
+		b := li.bucket(u.Box.Lo)
+		pos := li.start[b]
+		li.ids[pos] = int32(i)
+		li.boxes[pos] = u.Box
+		li.owner[pos] = int32(a.Owner[i])
+		li.start[b]++
+	}
+	for _, li := range idx {
+		if li != nil {
+			copy(li.start[1:], li.start[:len(li.start)-1])
+			li.start[0] = 0
+		}
+	}
+	return idx
 }
 
-// forEachTask runs fn(i, worker) for every task index, fanning out over
-// the given number of workers. Task results must be written into
-// per-task storage; completion order is irrelevant to callers because
-// merging happens afterwards in task order.
-func forEachTask(n, workers int, fn func(i, worker int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0)
+// grid sizes the bucket grid for n units: edges start at the largest unit
+// extent per axis and double on the axis with the most buckets until the
+// grid fits the per-unit cap.
+func (li *levelIndex) grid(n int) {
+	limit := maxBucketsPerUnit*n + 64
+	for {
+		nb := 1
+		for d := 0; d < 3; d++ {
+			li.dims[d] = (li.bbox.Dx(d)-1)/li.edge[d] + 1
+			nb *= li.dims[d]
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, worker)
+		if nb <= limit {
+			li.start = make([]int32, nb+1)
+			return
+		}
+		widest := 0
+		for d := 1; d < 3; d++ {
+			if li.dims[d] > li.dims[widest] {
+				widest = d
 			}
-		}(w)
+		}
+		li.edge[widest] *= 2
 	}
-	wg.Wait()
 }
 
-// pairAcc accumulates one cross-processor unit pair inside a task, in
-// quarter-face units. Entries with the same lo unit are chained through
-// next, forming the per-unit adjacency accumulator that replaces the old
-// map[uint64]int dedup.
-type pairAcc struct {
+// bucket returns the bucket holding a unit whose Lo corner is p.
+func (li *levelIndex) bucket(p samr.Point) int {
+	x := (p[0] - li.bbox.Lo[0]) / li.edge[0]
+	y := (p[1] - li.bbox.Lo[1]) / li.edge[1]
+	z := (p[2] - li.bbox.Lo[2]) / li.edge[2]
+	return (z*li.dims[1]+y)*li.dims[0] + x
+}
+
+// span returns the inclusive bucket ranges holding every unit that may
+// intersect q; ok is false when no unit can.
+func (li *levelIndex) span(q samr.Box) (lo, hi samr.Point, ok bool) {
+	for d := 0; d < 3; d++ {
+		// A unit [l, l+w) with w <= edge meets q iff q.Lo-edge < l < q.Hi.
+		l := q.Lo[d] - li.edge[d] + 1 - li.bbox.Lo[d]
+		h := q.Hi[d] - 1 - li.bbox.Lo[d]
+		if h < 0 {
+			return lo, hi, false
+		}
+		lo[d] = max(l, 0) / li.edge[d]
+		hi[d] = min(h/li.edge[d], li.dims[d]-1)
+		if lo[d] > hi[d] {
+			return lo, hi, false
+		}
+	}
+	return lo, hi, true
+}
+
+// row returns the position range of buckets x0..x1 in bucket row (y, z).
+func (li *levelIndex) row(y, z, x0, x1 int) (int, int) {
+	b := (z*li.dims[1] + y) * li.dims[0]
+	return int(li.start[b+x0]), int(li.start[b+x1+1])
+}
+
+// cellKey is 4 times the linear sweep-order (z, y, x) index of cell c in
+// the level's bounding box: the relation goes in the low two bits.
+func (li *levelIndex) cellKey(c samr.Point) uint64 {
+	bb := li.bbox
+	nx, ny := uint64(bb.Dx(0)), uint64(bb.Dx(1))
+	return 4 * ((uint64(c[2]-bb.Lo[2])*ny+uint64(c[1]-bb.Lo[1]))*nx + uint64(c[0]-bb.Lo[0]))
+}
+
+// relParent is the relation code of a coarse-parent contact; faces use
+// their axis 0, 1, 2. It is the order the canonical sweep checks them in
+// at one cell: the +x, +y and +z faces, then the coarse parent.
+const relParent = 3
+
+// contact is one cross-processor contact between two units, the whole of
+// their exchange: disjoint boxes touch face to face at most once, and a
+// fine box meets a refined coarse box in at most one box. key is the
+// first-contact cell in sweep order (linear index in the level's bounding
+// box) times 4 plus the relation, so keys are unique.
+type contact struct {
+	key      uint64
 	lo, hi   int32
 	quarters int64
-	next     int32
 }
 
-// commTask is one z-slab of one level's fused sweep. Intra-level faces
-// count 4 quarters, inter-level parent cells 1 quarter (interLevelWeight);
-// the level frequency is applied at merge time, so every per-task
-// accumulator is an exact integer.
-type commTask struct {
-	r     *levelRaster // this level's unit raster
-	cr    *levelRaster // parent level's raster, nil for the coarsest
-	ratio int
-	freq  float64
-	zLo   int
-	zHi   int
-
-	pairs        []pairAcc
-	procQuarters []int64
-	volQuarters  int64
-}
-
-// run sweeps the task's slab. head is the caller-owned per-unit chain
-// head array (len = units, filled with -1); it is restored to -1 for
-// every touched entry before returning so workers can reuse it across
-// tasks.
-func (t *commTask) run(owners []int32, nprocs int, head []int32) {
-	t.procQuarters = make([]int64, nprocs)
-	r, cr := t.r, t.cr
-	b := r.box
-	n := b.Dx(0)
-	lastLo, lastHi := int32(-1), int32(-1)
-	lastIdx := 0
-	add := func(u1, u2 int32, q int64) {
-		o1, o2 := owners[u1], owners[u2]
-		if o1 == o2 {
-			return
-		}
-		t.volQuarters += q
-		t.procQuarters[o1] += q
-		t.procQuarters[o2] += q
-		lo, hi := u1, u2
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo == lastLo && hi == lastHi {
-			t.pairs[lastIdx].quarters += q
-			return
-		}
-		idx := head[lo]
-		for idx >= 0 && t.pairs[idx].hi != hi {
-			idx = t.pairs[idx].next
-		}
-		if idx < 0 {
-			t.pairs = append(t.pairs, pairAcc{lo: lo, hi: hi, next: head[lo]})
-			idx = int32(len(t.pairs) - 1)
-			head[lo] = idx
-		}
-		t.pairs[idx].quarters += q
-		lastLo, lastHi, lastIdx = lo, hi, int(idx)
+// contacts appends the cross-processor contacts of level l's units:
+// faces towards their +x/+y/+z neighbors, and parent transfers with level
+// l-1.
+func (idx unitIndex) contacts(l, ratio int, out []contact) []contact {
+	li := idx[l]
+	var coarse *levelIndex
+	if l > 0 {
+		coarse = idx[l-1]
 	}
-	for z := t.zLo; z < t.zHi; z++ {
-		hasZ := z+1 < b.Hi[2]
-		czOff, czOK := 0, false
-		if cr != nil {
-			cz := z / t.ratio
-			if cz >= cr.box.Lo[2] && cz < cr.box.Hi[2] {
-				czOK = true
-				czOff = (cz - cr.box.Lo[2]) * cr.nxy
-			}
-		}
-		for y := b.Lo[1]; y < b.Hi[1]; y++ {
-			s := (z-b.Lo[2])*r.nxy + (y-b.Lo[1])*r.nx
-			row := r.owner[s : s+n]
-			var rowY, rowZ []int32
-			if y+1 < b.Hi[1] {
-				rowY = r.owner[s+r.nx : s+r.nx+n]
-			}
-			if hasZ {
-				rowZ = r.owner[s+r.nxy : s+r.nxy+n]
-			}
-			var crow []int32
-			cxLo, cxHi := 0, 0
-			if czOK {
-				cy := y / t.ratio
-				if cy >= cr.box.Lo[1] && cy < cr.box.Hi[1] {
-					cs := czOff + (cy-cr.box.Lo[1])*cr.nx
-					crow = cr.owner[cs : cs+cr.nx]
-					cxLo, cxHi = cr.box.Lo[0], cr.box.Hi[0]
-				}
-			}
-			for i := 0; i < n; i++ {
-				u := row[i]
-				if u < 0 {
-					continue
-				}
-				if i+1 < n {
-					if nu := row[i+1]; nu >= 0 && nu != u {
-						add(u, nu, 4)
-					}
-				}
-				if rowY != nil {
-					if nu := rowY[i]; nu >= 0 && nu != u {
-						add(u, nu, 4)
-					}
-				}
-				if rowZ != nil {
-					if nu := rowZ[i]; nu >= 0 && nu != u {
-						add(u, nu, 4)
-					}
-				}
-				if crow != nil {
-					cx := (b.Lo[0] + i) / t.ratio
-					if cx >= cxLo && cx < cxHi {
-						if cu := crow[cx-cxLo]; cu >= 0 && cu != u {
-							add(u, cu, 1)
+	for i, ub := range li.boxes {
+		u, ou := li.ids[i], li.owner[i]
+		// Faces: v touches u's +d face iff v.Lo[d] == u.Hi[d] and the two
+		// overlap on the other axes. Disjoint boxes touch at most once, so
+		// each face is found once, from below.
+		for d := 0; d < 3; d++ {
+			lo, hi, ok := li.faceSpan(ub, d)
+			for z := lo[2]; ok && z <= hi[2]; z++ {
+				for y := lo[1]; y <= hi[1]; y++ {
+					r0, r1 := li.row(y, z, lo[0], hi[0])
+					for j := r0; j < r1; j++ {
+						if li.owner[j] == ou {
+							continue
+						}
+						if area, first, ok := faceContact(ub, li.boxes[j], d); ok {
+							v := li.ids[j]
+							out = append(out, contact{li.cellKey(first) + uint64(d), min(u, v), max(u, v), 4 * area})
 						}
 					}
 				}
 			}
 		}
+		// Parent transfers: the fine cells of u whose (floor-divided)
+		// parent lies in coarse unit c are u ∩ c.Refine(ratio).
+		if coarse == nil {
+			continue
+		}
+		lo, hi, ok := coarse.span(ub.Coarsen(ratio))
+		for z := lo[2]; ok && z <= hi[2]; z++ {
+			for y := lo[1]; y <= hi[1]; y++ {
+				r0, r1 := coarse.row(y, z, lo[0], hi[0])
+				for j := r0; j < r1; j++ {
+					if coarse.owner[j] == ou {
+						continue
+					}
+					if in, ok := ub.Intersect(coarse.boxes[j].Refine(ratio)); ok {
+						c := coarse.ids[j]
+						out = append(out, contact{li.cellKey(in.Lo) + relParent, min(u, c), max(u, c), in.Volume()})
+					}
+				}
+			}
+		}
 	}
-	for i := range t.pairs {
-		head[t.pairs[i].lo] = -1
-	}
+	return out
 }
 
-// sweepComm runs the fused kernel over every level and merges the
-// per-slab accumulators deterministically: tasks are merged in (level,
-// z-slab) order, which is exactly the canonical sweep order, so pair
-// enumeration and every statistic match the sequential reference bit for
-// bit regardless of how many workers ran the slabs.
-func sweepComm(h *samr.Hierarchy, a *Assignment, rs map[int]*levelRaster) (CommStats, []UnitPair) {
+// faceSpan returns the bucket ranges holding every unit whose Lo[d] is
+// u.Hi[d] — the only units that can touch u's +d face.
+func (li *levelIndex) faceSpan(u samr.Box, d int) (lo, hi samr.Point, ok bool) {
+	q := u
+	q.Lo[d], q.Hi[d] = u.Hi[d], u.Hi[d]+1
+	if lo, hi, ok = li.span(q); !ok {
+		return lo, hi, false
+	}
+	lo[d] = (u.Hi[d] - li.bbox.Lo[d]) / li.edge[d]
+	hi[d] = lo[d]
+	return lo, hi, lo[d] < li.dims[d]
+}
+
+// faceContact reports whether v touches u's +d face, with the shared area
+// in faces and the first contact cell on u's side: u.Hi[d]-1 on axis d,
+// the overlap's minimum on the others.
+func faceContact(u, v samr.Box, d int) (area int64, first samr.Point, ok bool) {
+	if v.Lo[d] != u.Hi[d] {
+		return 0, first, false
+	}
+	area = 1
+	for e := 0; e < 3; e++ {
+		if e == d {
+			first[e] = u.Hi[e] - 1
+			continue
+		}
+		lo, hi := max(u.Lo[e], v.Lo[e]), min(u.Hi[e], v.Hi[e])
+		if hi <= lo {
+			return 0, first, false
+		}
+		area *= int64(hi - lo)
+		first[e] = lo
+	}
+	return area, first, true
+}
+
+// contactComm runs the contact kernel level by level and assembles the
+// statistics and the canonical pair list, each level's contacts sorted by
+// their unique first-contact key. Every statistic is summed in integer
+// quarter faces and converted once: the result equals the reference's
+// cell-by-cell float sums bit for bit, since those never round at any
+// realistic hierarchy size.
+func contactComm(h *samr.Hierarchy, a *Assignment, idx unitIndex) (CommStats, []UnitPair) {
 	st := CommStats{
 		PerProcVolume:   make([]float64, a.NProcs),
 		PerProcMessages: make([]float64, a.NProcs),
 	}
-	if len(a.Units) == 0 || len(rs) == 0 {
-		return st, nil
-	}
-	owners := ownersOf(a)
-	levels := make([]int, 0, len(rs))
-	var cells int64
-	for l, r := range rs {
-		levels = append(levels, l)
-		cells += r.box.Volume()
-	}
-	sort.Ints(levels)
-	workers := workersFor(cells)
-
-	var tasks []*commTask
-	for _, l := range levels {
-		r := rs[l]
-		var cr *levelRaster
+	var out []UnitPair
+	var cs []contact
+	var keys []uint64
+	var perm, tmp []int32
+	var volQ, msgs int64
+	procQ := make([]int64, a.NProcs)
+	procMsgs := make([]int64, a.NProcs)
+	freq := int64(1)
+	for l := range idx {
 		if l > 0 {
-			cr = rs[l-1]
+			freq *= int64(h.Ratio)
 		}
-		freq := 1.0
-		for i := 0; i < l; i++ {
-			freq *= float64(h.Ratio)
+		if idx[l] == nil {
+			continue
 		}
-		for _, zr := range slabRanges(r.box.Lo[2], r.box.Hi[2], workers) {
-			tasks = append(tasks, &commTask{
-				r: r, cr: cr, ratio: h.Ratio, freq: freq,
-				zLo: zr[0], zHi: zr[1],
-			})
+		cs = idx.contacts(l, h.Ratio, cs[:0])
+		keys, perm = keys[:0], perm[:0]
+		for i, c := range cs {
+			keys = append(keys, c.key)
+			perm = append(perm, int32(i))
 		}
-	}
-
-	heads := make([][]int32, workers)
-	forEachTask(len(tasks), workers, func(i, worker int) {
-		if heads[worker] == nil {
-			heads[worker] = newHead(len(a.Units))
-		}
-		tasks[i].run(owners, a.NProcs, heads[worker])
-	})
-
-	// Deterministic merge. All sums below are exact: quarters and freq are
-	// integers (freq = Ratio^level), so 0.25*quarters*freq has at most two
-	// fractional bits and the float64 additions never round at any
-	// realistic hierarchy size.
-	type merged struct {
-		lo, hi   int32
-		quarters int64
-		freq     float64
-	}
-	var pairs []merged
-	head := newHead(len(a.Units))
-	next := make([]int32, 0, 64)
-	for _, t := range tasks {
-		if t.volQuarters != 0 {
-			st.Volume += 0.25 * float64(t.volQuarters) * t.freq
-		}
-		for p, q := range t.procQuarters {
-			if q != 0 {
-				st.PerProcVolume[p] += 0.25 * float64(q) * t.freq
-			}
-		}
-		for _, pa := range t.pairs {
-			idx := head[pa.lo]
-			for idx >= 0 && pairs[idx].hi != pa.hi {
-				idx = next[idx]
-			}
-			if idx < 0 {
-				pairs = append(pairs, merged{lo: pa.lo, hi: pa.hi, freq: t.freq})
-				next = append(next, head[pa.lo])
-				idx = int32(len(pairs) - 1)
-				head[pa.lo] = idx
-				o1, o2 := owners[pa.lo], owners[pa.hi]
-				st.Messages += t.freq
-				st.PerProcMessages[o1] += t.freq
-				st.PerProcMessages[o2] += t.freq
-			}
-			pairs[idx].quarters += pa.quarters
+		tmp = append(tmp[:0], perm...)
+		out = slices.Grow(out, len(cs))
+		for _, i := range radixSortRun(keys, perm, tmp) {
+			c := cs[i]
+			o1, o2 := a.Owner[c.lo], a.Owner[c.hi]
+			volQ += c.quarters * freq
+			procQ[o1] += c.quarters * freq
+			procQ[o2] += c.quarters * freq
+			msgs += freq
+			procMsgs[o1] += freq
+			procMsgs[o2] += freq
+			out = append(out, UnitPair{U1: int(c.lo), U2: int(c.hi), Faces: 0.25 * float64(c.quarters), Frequency: float64(freq)})
 		}
 	}
-	if len(pairs) == 0 {
-		return st, nil
-	}
-	out := make([]UnitPair, len(pairs))
-	for i, m := range pairs {
-		out[i] = UnitPair{
-			U1:        int(m.lo),
-			U2:        int(m.hi),
-			Faces:     0.25 * float64(m.quarters),
-			Frequency: m.freq,
-		}
+	st.Volume = 0.25 * float64(volQ)
+	st.Messages = float64(msgs)
+	for p := range procQ {
+		st.PerProcVolume[p] = 0.25 * float64(procQ[p])
+		st.PerProcMessages[p] = float64(procMsgs[p])
 	}
 	return st, out
-}
-
-func newHead(n int) []int32 {
-	head := make([]int32, n)
-	for i := range head {
-		head[i] = -1
-	}
-	return head
-}
-
-// migTask counts migrated cells over one z-slab of one level's
-// prev ∩ new raster intersection.
-type migTask struct {
-	pr, nr                *levelRaster
-	common                samr.Box
-	prevOwners, newOwners []int32
-	zLo, zHi              int
-	both, moved           int64
-}
-
-func (t *migTask) run() {
-	c := t.common
-	w := c.Dx(0)
-	var both, moved int64
-	for z := t.zLo; z < t.zHi; z++ {
-		for y := c.Lo[1]; y < c.Hi[1]; y++ {
-			pS := (z-t.pr.box.Lo[2])*t.pr.nxy + (y-t.pr.box.Lo[1])*t.pr.nx + (c.Lo[0] - t.pr.box.Lo[0])
-			nS := (z-t.nr.box.Lo[2])*t.nr.nxy + (y-t.nr.box.Lo[1])*t.nr.nx + (c.Lo[0] - t.nr.box.Lo[0])
-			prow := t.pr.owner[pS : pS+w]
-			nrow := t.nr.owner[nS : nS+w]
-			for i := 0; i < w; i++ {
-				pu, nu := prow[i], nrow[i]
-				if pu < 0 || nu < 0 {
-					continue
-				}
-				both++
-				if t.prevOwners[pu] != t.newOwners[nu] {
-					moved++
-				}
-			}
-		}
-	}
-	t.both, t.moved = both, moved
 }

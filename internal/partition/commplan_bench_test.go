@@ -123,6 +123,22 @@ func BenchmarkBuildCommPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCommPlanISP is the many-small-units shape: ISP emits
+// thousands of small fixed-size blocks on the paper hierarchy, the worst
+// case for the box-contact kernel's candidate search.
+func BenchmarkBuildCommPlanISP(b *testing.B) {
+	h := paperHierarchy(b)
+	a, err := (ISP{}).Partition(h, samr.UniformWorkModel{}, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildCommPlan(h, a)
+	}
+}
+
 // BenchmarkMigrationFrom measures the steady-state regrid cost of the
 // migration component: both plans already exist (the previous cycle kept
 // its plan), so only the diff sweep runs.

@@ -157,6 +157,41 @@ func TestCommPlanNegativeCoordinates(t *testing.T) {
 	requirePlanMatchesReference(t, h, a, "negative-lo")
 }
 
+// TestCommPlanNegativeOriginParent pins the parent mapping on a
+// negative-origin hierarchy: a fine cell's parent is its floor-divided
+// (Box.Coarsen) image, so fine cells -2 and -1 lie under coarse cell -1,
+// not 0. The fine unit shares an owner with the coarse unit below zero,
+// so the only exchange is the level-0 face at x = 0; truncating division
+// would add a parent transfer to the unit above zero.
+func TestCommPlanNegativeOriginParent(t *testing.T) {
+	h, err := samr.NewHierarchy(samr.Box{Lo: samr.Point{-4, -2, -2}, Hi: samr.Point{4, 2, 2}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fine := samr.Box{Lo: samr.Point{-2, -4, -4}, Hi: samr.Point{0, 4, 4}}
+	if err := h.SetLevel(1, []samr.Box{fine}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a := &Assignment{
+		NProcs: 2,
+		Units: []Unit{
+			{Level: 0, Box: samr.Box{Lo: samr.Point{-4, -2, -2}, Hi: samr.Point{0, 2, 2}}, Weight: 1},
+			{Level: 0, Box: samr.Box{Lo: samr.Point{0, -2, -2}, Hi: samr.Point{4, 2, 2}}, Weight: 1},
+			{Level: 1, Box: fine, Weight: 1},
+		},
+		Owner: []int{0, 1, 0},
+	}
+	plan := requirePlanMatchesReference(t, h, a, "negative-origin")
+	want := []UnitPair{{U1: 0, U2: 1, Faces: 16, Frequency: 1}}
+	if !reflect.DeepEqual(plan.Pairs, want) || plan.Stats.Volume != 16 || plan.Stats.Messages != 1 {
+		t.Fatalf("pairs %+v volume %g messages %g, want %+v volume 16 messages 1",
+			plan.Pairs, plan.Stats.Volume, plan.Stats.Messages, want)
+	}
+}
+
 // TestCommPlanEmptyAndSingleOwner covers the degenerate ends: an
 // assignment with no cross-processor contact produces empty pairs and
 // zero stats, and a single-unit assignment has nothing to exchange.

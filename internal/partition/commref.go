@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the retained sequential reference kernels: the simple,
-// obviously-correct cell-by-cell implementations the parallel CommPlan
+// obviously-correct cell-by-cell implementations the box-contact CommPlan
 // kernel is differentially tested against. They define the canonical
 // semantics — per level ascending, cells in z, y, x order, each cell
 // checking its +x, +y, +z face neighbors and then its coarse parent — and
@@ -86,9 +86,12 @@ func ReferenceCommunication(h *samr.Hierarchy, a *Assignment) (CommStats, []Unit
 						}
 					}
 					// Inter-level transfer: fine cell vs parent coarse
-					// cell, exchanged on every fine sub-step.
+					// cell, exchanged on every fine sub-step. The parent
+					// is the cell's Coarsen image (floor division), so
+					// fine cell -1 maps to coarse cell -1, not 0.
 					if coarse != nil {
-						cu := coarse.at(samr.Point{x / h.Ratio, y / h.Ratio, z / h.Ratio})
+						cell := samr.Box{Lo: samr.Point{x, y, z}, Hi: samr.Point{x + 1, y + 1, z + 1}}
+						cu := coarse.at(cell.Coarsen(h.Ratio).Lo)
 						if cu >= 0 && cu != u {
 							record(u, cu, interLevelWeight, freq)
 						}
@@ -101,12 +104,12 @@ func ReferenceCommunication(h *samr.Hierarchy, a *Assignment) (CommStats, []Unit
 }
 
 // ReferenceMigrationFraction computes the migration fraction with the
-// pre-CommPlan sequential kernel: both assignments re-rasterized into
-// owner maps and compared cell by cell. CommPlan.MigrationFrom must
+// pre-CommPlan sequential kernel: both assignments re-rasterized and their
+// owners compared cell by cell. CommPlan.MigrationFrom must
 // reproduce its output bit for bit.
 func ReferenceMigrationFraction(prevH *samr.Hierarchy, prev *Assignment, h *samr.Hierarchy, a *Assignment) float64 {
-	prevR := ownerRasters(prev)
-	newR := ownerRasters(a)
+	prevR := unitRasters(prev)
+	newR := unitRasters(a)
 	var both, moved int64
 	for l, nr := range newR {
 		pr, ok := prevR[l]
@@ -121,12 +124,12 @@ func ReferenceMigrationFraction(prevH *samr.Hierarchy, prev *Assignment, h *samr
 			for y := common.Lo[1]; y < common.Hi[1]; y++ {
 				for x := common.Lo[0]; x < common.Hi[0]; x++ {
 					p := samr.Point{x, y, z}
-					po, no := pr.at(p), nr.at(p)
-					if po < 0 || no < 0 {
+					pu, nu := pr.at(p), nr.at(p)
+					if pu < 0 || nu < 0 {
 						continue
 					}
 					both++
-					if po != no {
+					if prev.Owner[pu] != a.Owner[nu] {
 						moved++
 					}
 				}
@@ -137,4 +140,54 @@ func ReferenceMigrationFraction(prevH *samr.Hierarchy, prev *Assignment, h *samr
 		return 0
 	}
 	return float64(moved) / float64(both)
+}
+
+// levelRaster is a dense unit-index map over the bounding box of one
+// level's units; cells outside every unit hold -1. Only the reference
+// kernels use it: production code works on unit boxes.
+type levelRaster struct {
+	box  samr.Box
+	unit []int32
+}
+
+// unitRasters builds one unit-index raster per level of the assignment.
+func unitRasters(a *Assignment) map[int]*levelRaster {
+	rs := map[int]*levelRaster{}
+	for _, u := range a.Units {
+		if r := rs[u.Level]; r != nil {
+			r.box = r.box.Bound(u.Box)
+		} else {
+			rs[u.Level] = &levelRaster{box: u.Box}
+		}
+	}
+	for _, r := range rs {
+		r.unit = make([]int32, r.box.Volume())
+		for i := range r.unit {
+			r.unit[i] = -1
+		}
+	}
+	for i, u := range a.Units {
+		r, b := rs[u.Level], u.Box
+		for z := b.Lo[2]; z < b.Hi[2]; z++ {
+			for y := b.Lo[1]; y < b.Hi[1]; y++ {
+				for x := b.Lo[0]; x < b.Hi[0]; x++ {
+					r.unit[r.offset(samr.Point{x, y, z})] = int32(i)
+				}
+			}
+		}
+	}
+	return rs
+}
+
+func (r *levelRaster) offset(p samr.Point) int {
+	return ((p[2]-r.box.Lo[2])*r.box.Dx(1)+p[1]-r.box.Lo[1])*r.box.Dx(0) + p[0] - r.box.Lo[0]
+}
+
+// at returns the unit covering the cell at p, or -1 when p is outside the
+// raster or uncovered.
+func (r *levelRaster) at(p samr.Point) int32 {
+	if !r.box.Contains(p) {
+		return -1
+	}
+	return r.unit[r.offset(p)]
 }

@@ -26,6 +26,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pragma-grid/pragma/internal/samr"
@@ -405,7 +408,7 @@ func decomposeOrdered(name string, h *samr.Hierarchy, wm samr.WorkModel, spec de
 	workers := workersFor(changedCells)
 	tasks := changedTasks(h, spec, reuse, workers)
 	k := newKeyer(h, curve)
-	forEachTask(len(tasks), workers, func(i, _ int) {
+	forEachTask(len(tasks), workers, func(i int) {
 		tasks[i].run(h, wm, spec, k)
 	})
 
@@ -561,6 +564,53 @@ func u64Arena(buf *[]uint64, n int) []uint64 {
 	}
 	*buf = (*buf)[:0]
 	return *buf
+}
+
+// parallelCellThreshold is the cell count below which the delta
+// decomposition stays on the calling goroutine: small deltas are not worth
+// the fan-out. Results are bit-identical either way.
+const parallelCellThreshold = 1 << 15
+
+// workersFor picks the worker count for a sweep over the given cell
+// count: GOMAXPROCS-wide unless the sweep is too small to fan out.
+func workersFor(cells int64) int {
+	w := runtime.GOMAXPROCS(0)
+	if w <= 1 || cells < parallelCellThreshold {
+		return 1
+	}
+	return w
+}
+
+// forEachTask runs fn(i) for every task index, fanning out over the given
+// number of workers. Task results must be written into
+// per-task storage; completion order is irrelevant to callers because
+// merging happens afterwards in task order.
+func forEachTask(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // radixSortRun stably sorts idx (a permutation of positions into keys) by

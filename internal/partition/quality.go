@@ -44,7 +44,7 @@ const interLevelWeight = 0.25
 // prevH may be nil when there is no previous partitioning (migration is 0).
 // Callers evaluating several candidates, or holding the previous cycle's
 // plan, should use BuildCommPlan + EvalQualityPlan directly to avoid
-// re-rasterizing.
+// re-indexing.
 func EvalQuality(h *samr.Hierarchy, a *Assignment, prevH *samr.Hierarchy, prev *Assignment, elapsed time.Duration) Quality {
 	plan := BuildCommPlan(h, a)
 	var prevPlan *CommPlan
@@ -56,7 +56,7 @@ func EvalQuality(h *samr.Hierarchy, a *Assignment, prevH *samr.Hierarchy, prev *
 
 // EvalQualityPlan assembles the PAC metric from an already-built plan,
 // measuring migration against the previous cycle's plan (nil for none).
-// No rasterization or sweeping happens here beyond the migration diff.
+// Nothing is indexed or searched here beyond the migration diff.
 func EvalQualityPlan(plan *CommPlan, prevPlan *CommPlan, elapsed time.Duration) Quality {
 	q := Quality{
 		CommVolume:    plan.Stats.Volume,
@@ -135,7 +135,7 @@ func CommVolume(h *samr.Hierarchy, a *Assignment) (total float64, perProc []floa
 // the paper's "amount of data migration" component. Levels are compared
 // independently; cells that exist only in one configuration (newly refined
 // or de-refined) do not count. Callers holding CommPlans for both sides
-// should use CommPlan.MigrationFrom, which reuses the cached rasters.
+// should use CommPlan.MigrationFrom, which reuses the cached unit indexes.
 func MigrationFraction(prevH *samr.Hierarchy, prev *Assignment, h *samr.Hierarchy, a *Assignment) float64 {
 	return BuildRasterPlan(h, a).MigrationFrom(BuildRasterPlan(prevH, prev))
 }

@@ -81,7 +81,7 @@ type (
 	Assignment = partition.Assignment
 	// Quality is the five-component PAC metric of a partitioning.
 	Quality = partition.Quality
-	// CommPlan is a cached communication plan: one rasterization of an
+	// CommPlan is a cached communication plan: one unit index of an
 	// assignment shared by quality evaluation, migration diffs, and engine
 	// construction.
 	CommPlan = partition.CommPlan
@@ -325,8 +325,8 @@ func EvaluateQuality(h *Hierarchy, a *Assignment, prevH *Hierarchy, prev *Assign
 	return partition.EvalQuality(h, a, prevH, prev, 0)
 }
 
-// BuildCommPlan rasterizes an assignment once and runs the fused
-// single-pass communication sweep, returning the plan that quality
+// BuildCommPlan indexes an assignment's units once and runs the
+// box-contact communication kernel, returning the plan that quality
 // evaluation, migration diffs (CommPlan.MigrationFrom), and engine
 // construction (NewEngineFromPlan) all share. Build it once per
 // assignment instead of calling EvaluateQuality and NewEngine separately.
