@@ -32,6 +32,14 @@
 //	curl -X POST 'http://127.0.0.1:9090/sched/submit?tenant=acme&name=run1&strategy=adaptive'
 //	curl -X POST  http://127.0.0.1:9090/sched/drain
 //
+// The node and the fleet router below serve one /sched/* surface and
+// accept one submit wire format (fleet.SpecFromValues: trace, scenario,
+// seed, strategy, procs, checkpoint-every, checkpoint-keep, resume,
+// regrid-delay-ms), materialized the same way, so a run computes the same
+// result on either. The node places checkpoints itself: with
+// -sched-checkpoint-root set, name=NAME checkpoints under
+// <root>/<tenant>/<name>, and checkpoint= is ignored.
+//
 // Tenants share the pool by weighted max-min fairness: submit with
 // weight=4 and the tenant completes ~4x a weight-1 tenant's work under
 // saturation, with an under-share submit preempting the most over-share
@@ -61,11 +69,8 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/url"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -168,7 +173,7 @@ func main() {
 			TenantLimit: *schedTenantLimit,
 			Events:      schedEvents,
 		})
-		schedBuild = schedSpecBuilder(*schedCkptRoot)
+		schedBuild = fleet.NodeSpecBuilder(*schedCkptRoot, fleet.DefaultMaterializer())
 		if *schedState != "" {
 			stateStore = &checkpoint.Store{Dir: *schedState}
 			// Boot-time restore: re-admit whatever backlog the previous
@@ -459,134 +464,6 @@ func runFleetWorker(ctx context.Context, addr, id string, slots int, heartbeat, 
 	return nil
 }
 
-// schedSpecBuilder maps /sched/submit parameters onto run specs:
-//
-//	trace=small|paper        adaptation trace (generated once, then cached)
-//	scenario=SPEC            composed scenario spec instead of trace=
-//	                         (internal/scenario grammar, cached per spec)
-//	seed=N                   scenario seed override (with scenario=)
-//	strategy=adaptive|...    strategy or partitioner name (default adaptive)
-//	procs=N                  processor count (default 8)
-//	name=NAME                run name; with -sched-checkpoint-root set, the
-//	                         run checkpoints under <root>/<tenant>/<name>
-//	resume=1                 continue from that run's latest checkpoint
-func schedSpecBuilder(ckptRoot string) pragma.SchedulerSpecBuilder {
-	var mu sync.Mutex
-	traces := map[string]*pragma.Trace{}
-	getTrace := func(name string) (*pragma.Trace, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if tr, ok := traces[name]; ok {
-			return tr, nil
-		}
-		var cfg pragma.RM3DConfig
-		switch name {
-		case "", "small":
-			cfg = pragma.RM3DSmall()
-		case "paper":
-			cfg = pragma.RM3DPaper()
-		default:
-			return nil, fmt.Errorf("unknown trace %q (small|paper)", name)
-		}
-		tr, err := pragma.GenerateRM3D(cfg)
-		if err != nil {
-			return nil, err
-		}
-		traces[name] = tr
-		return tr, nil
-	}
-	getScenario := func(specStr, seedStr string) (*pragma.Trace, error) {
-		spec, err := pragma.ParseScenario(specStr)
-		if err != nil {
-			return nil, err
-		}
-		if seedStr != "" {
-			seed, err := strconv.ParseInt(seedStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad seed %q", seedStr)
-			}
-			spec.Seed = seed
-		}
-		key := fmt.Sprintf("scenario\x00%s\x00%d", specStr, spec.Seed)
-		mu.Lock()
-		defer mu.Unlock()
-		if tr, ok := traces[key]; ok {
-			return tr, nil
-		}
-		tr, err := pragma.GenerateScenario(spec)
-		if err != nil {
-			return nil, err
-		}
-		traces[key] = tr
-		return tr, nil
-	}
-	return func(tenant string, priority int, v url.Values) (pragma.SchedulerRunSpec, error) {
-		var tr *pragma.Trace
-		var err error
-		if specStr := v.Get("scenario"); specStr != "" {
-			tr, err = getScenario(specStr, v.Get("seed"))
-		} else {
-			tr, err = getTrace(v.Get("trace"))
-		}
-		if err != nil {
-			return pragma.SchedulerRunSpec{}, err
-		}
-		stratName := v.Get("strategy")
-		if stratName == "" {
-			stratName = "adaptive"
-		}
-		strat, err := strategyByName(stratName)
-		if err != nil {
-			return pragma.SchedulerRunSpec{}, err
-		}
-		procs := 8
-		if p := v.Get("procs"); p != "" {
-			procs, err = strconv.Atoi(p)
-			if err != nil || procs < 1 {
-				return pragma.SchedulerRunSpec{}, fmt.Errorf("bad procs %q", p)
-			}
-		}
-		spec := pragma.SchedulerRunSpec{
-			Trace:    tr,
-			Strategy: strat,
-			Machine:  pragma.NewCluster(procs),
-			NProcs:   procs,
-		}
-		if name := v.Get("name"); name != "" && ckptRoot != "" {
-			if !safePathComponent(tenant) && tenant != "" {
-				return pragma.SchedulerRunSpec{}, fmt.Errorf("tenant %q not usable as a path component", tenant)
-			}
-			if !safePathComponent(name) {
-				return pragma.SchedulerRunSpec{}, fmt.Errorf("name %q not usable as a path component", name)
-			}
-			dir := tenant
-			if dir == "" {
-				dir = "_default"
-			}
-			spec.CheckpointDir = filepath.Join(ckptRoot, dir, name)
-			spec.Resume = v.Get("resume") == "1" || v.Get("resume") == "true"
-		}
-		return spec, nil
-	}
-}
-
-// safePathComponent accepts names usable as a single directory component:
-// letters, digits, dot, underscore, dash — but not "." or "..".
-func safePathComponent(s string) bool {
-	if s == "" || s == "." || s == ".." {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 func runBroker(ctx context.Context, addr string, interval, hbTimeout, wTimeout time.Duration) error {
 	center := pragma.NewMessageCenter(
 		pragma.WithHeartbeatTimeout(hbTimeout),
@@ -725,39 +602,23 @@ func (c crashingStrategy) RestoreState(data []byte) error {
 	return nil
 }
 
-func strategyByName(name string) (pragma.Strategy, error) {
-	switch name {
-	case "adaptive":
-		return pragma.Adaptive(), nil
-	case "system-sensitive":
-		return pragma.SystemSensitive(), nil
-	case "proactive":
-		return pragma.Proactive(), nil
-	default:
-		p, err := pragma.PartitionerByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return pragma.Static(p), nil
-	}
-}
-
+// runReplay resolves the trace, scenario and strategy through the same
+// materializer the scheduler and the fleet use, then replays the run.
 func runReplay(cfg replayConfig) error {
-	var trace *pragma.Trace
-	var workModel func(idx int) pragma.WorkModel
+	spec, err := fleet.DefaultMaterializer()(fleet.WireSpec{
+		Trace: cfg.trace, Scenario: cfg.scenario, Strategy: cfg.strategy, Procs: cfg.procs,
+	})
+	if err != nil {
+		return err
+	}
 	traceLabel := cfg.trace
 	if cfg.scenario != "" {
-		spec, err := pragma.ParseScenario(cfg.scenario)
+		sc, err := pragma.ParseScenario(cfg.scenario)
 		if err != nil {
 			return err
 		}
-		trace, err = pragma.GenerateScenario(spec)
-		if err != nil {
-			return err
-		}
-		workModel = spec.WorkModel
-		traceLabel = spec.Name
-		for _, exp := range spec.Trajectory() {
+		traceLabel = sc.Name
+		for _, exp := range sc.Trajectory() {
 			if exp.Known {
 				fmt.Printf("phase %s (snapshots %d-%d): expected octant %v\n",
 					exp.Phase, exp.Start, exp.End-1, exp.Octant)
@@ -766,35 +627,17 @@ func runReplay(cfg replayConfig) error {
 					exp.Phase, exp.Start, exp.End-1)
 			}
 		}
-	} else {
-		var rmCfg pragma.RM3DConfig
-		switch cfg.trace {
-		case "small":
-			rmCfg = pragma.RM3DSmall()
-		case "paper":
-			rmCfg = pragma.RM3DPaper()
-		default:
-			return fmt.Errorf("unknown trace %q (small|paper)", cfg.trace)
-		}
-		var err error
-		trace, err = pragma.GenerateRM3D(rmCfg)
-		if err != nil {
-			return err
-		}
 	}
-	strat, err := strategyByName(cfg.strategy)
-	if err != nil {
-		return err
-	}
+	trace, strat := spec.Trace, spec.Strategy
 	if cfg.crashAt > 0 {
 		strat = crashingStrategy{inner: strat, fp: &chaos.FaultPoint{FailAt: cfg.crashAt}}
 	}
 	rt := pragma.Runtime{
 		Trace:     trace,
-		Machine:   pragma.NewCluster(cfg.procs),
+		Machine:   spec.Machine,
 		Strategy:  strat,
-		NProcs:    cfg.procs,
-		WorkModel: workModel,
+		NProcs:    spec.NProcs,
+		WorkModel: spec.WorkModel,
 	}
 	var opts []pragma.RunOption
 	if cfg.ckptDir != "" {
@@ -808,10 +651,10 @@ func runReplay(cfg replayConfig) error {
 	}
 	if cfg.resume {
 		fmt.Printf("replaying %s trace (%d snapshots) with %s on %d procs, resuming from %s\n",
-			traceLabel, len(trace.Snapshots), strat.Name(), cfg.procs, cfg.ckptDir)
+			traceLabel, len(trace.Snapshots), strat.Name(), spec.NProcs, cfg.ckptDir)
 	} else {
 		fmt.Printf("replaying %s trace (%d snapshots) with %s on %d procs\n",
-			traceLabel, len(trace.Snapshots), strat.Name(), cfg.procs)
+			traceLabel, len(trace.Snapshots), strat.Name(), spec.NProcs)
 	}
 	res, err := rt.Execute(opts...)
 	if errors.Is(err, chaos.ErrInjectedCrash) {
@@ -828,7 +671,7 @@ func runReplay(cfg replayConfig) error {
 		res.MaxImbalance, res.AvgImbalance, res.Switches, res.Steps)
 
 	if cfg.emulate {
-		return emulateFinalSnapshot(trace, cfg.procs, cfg.stepDeadline)
+		return emulateFinalSnapshot(trace, spec.NProcs, cfg.stepDeadline)
 	}
 	return nil
 }

@@ -184,9 +184,10 @@ func (c *Center) Send(m Message) error {
 	c.mu.RLock()
 	ch, okL := c.local[m.To]
 	rc, okR := c.remote[m.To]
-	c.mu.RUnlock()
-	switch {
-	case okL:
+	if okL {
+		// The send never blocks, so it stays under the read lock: an
+		// Unregister racing it cannot close the mailbox mid-send.
+		defer c.mu.RUnlock()
 		select {
 		case ch <- m:
 			return nil
@@ -194,6 +195,9 @@ func (c *Center) Send(m Message) error {
 			metricMailboxFull.Inc()
 			return fmt.Errorf("agents: mailbox %q full", m.To)
 		}
+	}
+	c.mu.RUnlock()
+	switch {
 	case okR:
 		return rc.deliver(m)
 	default:

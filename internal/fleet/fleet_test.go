@@ -548,15 +548,18 @@ func TestSpecFromValues(t *testing.T) {
 }
 
 func TestSafePathComponent(t *testing.T) {
-	cases := map[string]string{
-		"fleet-000001": "fleet-000001",
-		"../../etc":    "______etc",
-		"":             "run",
-		"a b/c":        "a_b_c",
+	cases := map[string]bool{
+		"fleet-000001": true,
+		"run.v2_a":     true,
+		"../../etc":    false,
+		"..":           false,
+		".":            false,
+		"":             false,
+		"a b/c":        false,
 	}
 	for in, want := range cases {
 		if got := safePathComponent(in); got != want {
-			t.Errorf("safePathComponent(%q) = %q, want %q", in, got, want)
+			t.Errorf("safePathComponent(%q) = %v, want %v", in, got, want)
 		}
 	}
 }

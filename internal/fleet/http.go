@@ -1,20 +1,18 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"path/filepath"
 	"strconv"
-	"strings"
 
-	"github.com/pragma-grid/pragma/internal/stream"
+	"github.com/pragma-grid/pragma/internal/sched"
 )
 
-// Handler exposes the router over HTTP with the same /sched/* shape the
-// single-node scheduler serves, so clients need not care whether they are
-// talking to one node or a fleet:
+// Handler exposes the router over HTTP with the same /sched/* surface the
+// single-node scheduler serves (sched.Surface), so clients need not care
+// whether they are talking to one node or a fleet:
 //
 //	POST /sched/submit?tenant=T&priority=N&...  admit a run fleet-wide
 //	GET  /sched/status?id=fleet-000001          one run's status
@@ -23,112 +21,39 @@ import (
 //	POST /sched/drain                           drain the whole fleet
 //	GET  /sched/fleet                           per-worker placement view
 //
-// Submit's spec parameters are WireSpec fields (trace, scenario, seed,
-// strategy, procs, checkpoint, checkpoint-every, checkpoint-keep, resume,
-// regrid-delay-ms). checkpointRoot, when non-empty, gives runs submitted
-// without an explicit checkpoint dir one under it — keyed by run ID — so
+// Submit's spec parameters are WireSpec fields (see SpecFromValues).
+// checkpointRoot, when non-empty, confines checkpoints under it: a
+// checkpoint= must be a relative path inside the root (400 otherwise),
+// and runs submitted without one checkpoint under <root>/<run-id>, so
 // every fleet run is failover-capable by default.
 func Handler(r *Router, checkpointRoot string) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/sched/submit", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		v := req.URL.Query()
-		tenant := v.Get("tenant")
-		priority := 0
-		if p := v.Get("priority"); p != "" {
-			n, err := strconv.Atoi(p)
+	return sched.Surface{
+		View: r.View,
+		Submit: func(tenant string, priority int, weight float64, v url.Values) (RunStatus, error) {
+			spec, err := SpecFromValues(v)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad priority: "+err.Error())
-				return
+				return RunStatus{}, err
 			}
-			priority = n
-		}
-		spec, err := SpecFromValues(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		st, err := r.SubmitWithRoot(SubmitRequest{Tenant: tenant, Priority: priority, Spec: spec}, checkpointRoot)
-		switch {
-		case errors.Is(err, ErrSaturated):
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, ErrDraining):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		case err != nil:
-			httpError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeJSON(w, http.StatusAccepted, st)
-		}
-	})
-	mux.HandleFunc("/sched/status", func(w http.ResponseWriter, req *http.Request) {
-		st, ok := r.Status(req.URL.Query().Get("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown run id")
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("/sched/runs", func(w http.ResponseWriter, req *http.Request) {
-		// Paginated like the single-node surface: at most ?limit= records
-		// (default and cap DefaultRunsLimit) after run ID ?after=.
-		v := req.URL.Query()
-		limit := DefaultRunsLimit
-		if l := v.Get("limit"); l != "" {
-			n, err := strconv.Atoi(l)
-			if err != nil || n <= 0 {
-				httpError(w, http.StatusBadRequest, "bad limit")
-				return
-			}
-			if n < limit {
-				limit = n
-			}
-		}
-		writeJSON(w, http.StatusOK, r.RunsPage(v.Get("after"), limit))
-	})
-	mux.HandleFunc("/sched/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Stats())
-	})
-	mux.HandleFunc("/sched/drain", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		if err := r.Drain(req.Context()); err != nil {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, r.Stats())
-	})
-	mux.HandleFunc("/sched/fleet", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
-			Workers []WorkerInfo `json:"workers"`
-			Stats   Stats        `json:"stats"`
-		}{r.Workers(), r.Stats()})
-	})
-	if r.cfg.Events != nil {
-		mux.Handle("/sched/events", stream.Handler(r.cfg.Events, stream.HandlerConfig{}))
-	}
-	// JSON 404 for unknown /sched/ paths: every error this surface emits
-	// is application/json, including routing misses.
-	mux.HandleFunc("/sched/", func(w http.ResponseWriter, req *http.Request) {
-		httpError(w, http.StatusNotFound, "unknown sched endpoint")
-	})
-	return mux
-}
-
-// SubmitWithRoot admits a run like Submit, additionally defaulting its
-// checkpoint directory to <root>/<run-id> when the spec has none and root
-// is non-empty — the run ID is path-sanitized first.
-func (r *Router) SubmitWithRoot(req SubmitRequest, root string) (RunStatus, error) {
-	return r.submit(req, root)
+			spec.Weight = weight
+			return r.submit(SubmitRequest{Tenant: tenant, Priority: priority, Spec: spec}, checkpointRoot)
+		},
+		Stats:  func() any { return r.Stats() },
+		Drain:  r.Drain,
+		Events: r.cfg.Events,
+		Extra: map[string]func() any{"/sched/fleet": func() any {
+			return struct {
+				Workers []WorkerInfo `json:"workers"`
+				Stats   Stats        `json:"stats"`
+			}{r.Workers(), r.Stats()}
+		}},
+	}.Handler()
 }
 
 // SpecFromValues parses WireSpec fields out of URL query parameters — the
-// /sched/submit wire format.
+// /sched/submit wire format both the node and the fleet accept: trace,
+// scenario, seed, strategy, procs, checkpoint, checkpoint-every,
+// checkpoint-keep, resume and regrid-delay-ms. tenant, priority and
+// weight belong to the shared handler (sched.Surface).
 func SpecFromValues(v url.Values) (WireSpec, error) {
 	ws := WireSpec{
 		Trace:    v.Get("trace"),
@@ -177,39 +102,54 @@ func SpecFromValues(v url.Values) (WireSpec, error) {
 		}
 		ws.Resume = b
 	}
-	if s := v.Get("weight"); s != "" {
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil || f <= 0 {
-			return WireSpec{}, fmt.Errorf("fleet: bad weight: must be a positive number")
-		}
-		ws.Weight = f
-	}
 	return ws, nil
 }
 
-// safePathComponent strips anything that could escape the checkpoint root
-// out of a run ID used as a directory name.
-func safePathComponent(s string) string {
-	s = strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
+// NodeSpecBuilder is the single-node scheduler's SpecBuilder: the same
+// submit wire format as the fleet (SpecFromValues), materialized by mat,
+// with the node's own checkpoint rule. With root set, a submit carrying
+// name=NAME checkpoints under <root>/<tenant>/<name> (tenant "" becomes
+// "_default") and resume=1 continues from there. Every other submit runs
+// without checkpoints: checkpoint= is ignored, so a node never writes
+// outside its root.
+func NodeSpecBuilder(root string, mat Materializer) sched.SpecBuilder {
+	return func(tenant string, _ int, v url.Values) (sched.RunSpec, error) {
+		ws, err := SpecFromValues(v)
+		if err != nil {
+			return sched.RunSpec{}, err
 		}
-	}, s)
-	if s == "" {
-		s = "run"
+		ws.CheckpointDir = ""
+		if name := v.Get("name"); name != "" && root != "" {
+			if !safePathComponent(tenant) && tenant != "" {
+				return sched.RunSpec{}, fmt.Errorf("tenant %q not usable as a path component", tenant)
+			}
+			if !safePathComponent(name) {
+				return sched.RunSpec{}, fmt.Errorf("name %q not usable as a path component", name)
+			}
+			dir := tenant
+			if dir == "" {
+				dir = "_default"
+			}
+			ws.CheckpointDir = filepath.Join(root, dir, name)
+		}
+		ws.Resume = ws.Resume && ws.CheckpointDir != ""
+		return mat(ws)
 	}
-	return s
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// safePathComponent accepts names usable as a single directory component:
+// letters, digits, dot, underscore, dash — but not "." or "..".
+func safePathComponent(s string) bool {
+	if s == "" || s == "." || s == ".." {
+		return false
+	}
+	for _, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '.', r == '_', r == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,12 +17,13 @@ import (
 	"github.com/pragma-grid/pragma/internal/stream"
 )
 
-// Admission errors. Test with errors.Is.
+// Admission errors, shared with the single-node scheduler so one HTTP
+// surface maps both. Test with errors.Is.
 var (
 	// ErrDraining means the router no longer admits work.
-	ErrDraining = errors.New("fleet: draining, not admitting")
+	ErrDraining = sched.ErrDraining
 	// ErrSaturated means too many runs are already in flight fleet-wide.
-	ErrSaturated = errors.New("fleet: saturated, too many runs in flight")
+	ErrSaturated = sched.ErrSaturated
 )
 
 // Config sizes a Router.
@@ -129,47 +128,23 @@ func (c *Config) fill() {
 	}
 }
 
-// State is a fleet run's lifecycle phase.
-type State string
-
-// Run states. Queued covers admission through placement (including
-// re-placement during failover); the terminal states mirror sched's.
-const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateDrained   State = "drained"
-	StateCancelled State = "cancelled"
+// State and RunStatus are the scheduler's: a fleet run has the same
+// record as a single-node run, plus its placement fields.
+type (
+	State     = sched.State
+	RunStatus = sched.RunStatus
 )
 
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateDrained || s == StateCancelled
-}
-
-// RunStatus is the externally visible snapshot of one fleet run.
-type RunStatus struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority"`
-	State    State  `json:"state"`
-	// Placement is the executing worker's identity, or "local" when the
-	// run degraded to in-process execution.
-	Placement string `json:"placement,omitempty"`
-	// Attempt counts placement attempts so far; Failovers how many times
-	// the run moved because its worker was lost.
-	Attempt   int `json:"attempt,omitempty"`
-	Failovers int `json:"failovers,omitempty"`
-
-	Submitted time.Time `json:"submitted"`
-	Started   time.Time `json:"started,omitzero"`
-	Finished  time.Time `json:"finished,omitzero"`
-
-	Error         string          `json:"error,omitempty"`
-	Resumable     bool            `json:"resumable,omitempty"`
-	CheckpointDir string          `json:"checkpointDir,omitempty"`
-	Result        *core.RunResult `json:"result,omitempty"`
-}
+// Run states. Queued covers admission through placement (including
+// re-placement during failover); a fleet run is never preempted.
+const (
+	StateQueued    = sched.StateQueued
+	StateRunning   = sched.StateRunning
+	StateDone      = sched.StateDone
+	StateFailed    = sched.StateFailed
+	StateDrained   = sched.StateDrained
+	StateCancelled = sched.StateCancelled
+)
 
 // WorkerInfo is the router's view of one worker, for /sched/fleet.
 type WorkerInfo struct {
@@ -217,52 +192,17 @@ type workerState struct {
 	draining  bool
 }
 
-// run is the router's record of one fleet run.
+// run is one fleet run still in flight: its record in the router's run
+// table plus the wire spec every placement materializes.
 type run struct {
-	seq      int
-	id       string
-	tenant   string
-	priority int
-	spec     WireSpec
-
-	state     State
-	placement string
-	attempt   int
-	failovers int
-	started   bool // a worker (or the local pool) accepted it at least once
-
-	submitted time.Time
-	startedAt time.Time
-	finished  time.Time
-	err       string
-	resumable bool
-	result    *core.RunResult
-	done      chan struct{}
-	doneO     sync.Once
+	sched.Record
+	spec WireSpec
 }
 
-func (r *run) status() RunStatus {
-	st := RunStatus{
-		ID:        r.id,
-		Tenant:    r.tenant,
-		Priority:  r.priority,
-		State:     r.state,
-		Placement: r.placement,
-		Attempt:   r.attempt,
-		Failovers: r.failovers,
-		Submitted: r.submitted,
-		Started:   r.startedAt,
-		Finished:  r.finished,
-		Error:     r.err,
-	}
-	if r.state == StateDrained {
-		st.Resumable = r.resumable
-		st.CheckpointDir = r.spec.CheckpointDir
-	}
-	if r.state == StateDone {
-		st.Result = r.result
-	}
-	return st
+// pendingAck is a dispatch waiting for its worker's admission verdict.
+type pendingAck struct {
+	ch      chan ackMsg
+	attempt int
 }
 
 // SubmitRequest is one fleet admission attempt.
@@ -275,18 +215,16 @@ type SubmitRequest struct {
 // Router shards runs across fleet workers. Create with NewRouter; stop
 // with Drain (graceful) or Close.
 type Router struct {
+	sched.View // Status, Wait, Runs and RunsPage over runs
+
 	cfg  Config
 	port agents.Port
 
-	mu      sync.Mutex
-	workers map[string]*workerState
-	runs    map[string]*run
-	order   []string // terminal-record eviction order
-	acks    map[string]chan ackMsg
-	seq     int
-	counts  map[State]int
-	active  int
-	subs    int
+	mu       sync.Mutex
+	runs     *sched.Table
+	inflight map[string]*run // non-terminal runs
+	workers  map[string]*workerState
+	acks     map[string]pendingAck
 
 	failovers int
 	evictions int
@@ -316,18 +254,19 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	r := &Router{
-		cfg:     cfg,
-		port:    cfg.Port,
-		workers: make(map[string]*workerState),
-		runs:    make(map[string]*run),
-		acks:    make(map[string]chan ackMsg),
-		counts:  make(map[State]int),
-		jitter:  rand.New(rand.NewSource(cfg.Seed)),
-		local:   sched.New(sched.Config{Workers: cfg.LocalWorkers}),
-		drainCh: make(chan struct{}),
-		stopCh:  make(chan struct{}),
-		stopped: make(chan struct{}),
+		cfg:      cfg,
+		port:     cfg.Port,
+		inflight: make(map[string]*run),
+		workers:  make(map[string]*workerState),
+		acks:     make(map[string]pendingAck),
+		jitter:   rand.New(rand.NewSource(cfg.Seed)),
+		local:    sched.New(sched.Config{Workers: cfg.LocalWorkers}),
+		drainCh:  make(chan struct{}),
+		stopCh:   make(chan struct{}),
+		stopped:  make(chan struct{}),
 	}
+	r.runs = sched.NewTable(&r.mu, "fleet-", cfg.KeepFinished, cfg.Events)
+	r.View = r.runs.View()
 	r.wg.Add(2)
 	go r.recvLoop(inbox)
 	go r.evictLoop()
@@ -359,62 +298,43 @@ func (r *Router) reportErr(err error) {
 	}
 }
 
-// publishState emits rn's current state to the events hub. Callers hold
-// r.mu, which is what guarantees per-run event order matches the actual
-// transition order (Publish itself never blocks).
-func (r *Router) publishState(rn *run) {
-	if r.cfg.Events == nil {
-		return
-	}
-	r.cfg.Events.Publish(stream.Event{
-		Run:   rn.id,
-		Type:  stream.TypeState,
-		State: string(rn.state),
-		Error: rn.err,
-	})
-}
-
 // Submit admits a run and starts placing it. It returns the queued run's
 // status; placement proceeds asynchronously (watch Status or Wait).
 func (r *Router) Submit(req SubmitRequest) (RunStatus, error) {
 	return r.submit(req, "")
 }
 
-// submit is Submit with an optional checkpoint root: when the spec has no
-// checkpoint directory and root is non-empty, the run gets <root>/<run-id>
-// under the admission lock, so every fleet run is failover-capable by
-// default and no two runs can race onto the same directory.
+// submit is Submit with an optional checkpoint root. With root set, a
+// spec's checkpoint directory must be relative and stay under root after
+// filepath.Clean; it is resolved against root. A spec without one gets
+// <root>/<run-id> under the admission lock, so every fleet run is
+// failover-capable by default and no two runs can race onto the same
+// directory.
 func (r *Router) submit(req SubmitRequest, ckptRoot string) (RunStatus, error) {
+	spec := req.Spec
+	if ckptRoot != "" && spec.CheckpointDir != "" {
+		if !filepath.IsLocal(spec.CheckpointDir) {
+			return RunStatus{}, fmt.Errorf("fleet: checkpoint %q must be a relative path inside the checkpoint root", spec.CheckpointDir)
+		}
+		spec.CheckpointDir = filepath.Join(ckptRoot, spec.CheckpointDir)
+	}
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
 		return RunStatus{}, fmt.Errorf("fleet: submit %q: %w", req.Tenant, ErrDraining)
 	}
-	if r.active >= r.cfg.InflightLimit {
+	if len(r.inflight) >= r.cfg.InflightLimit {
 		r.mu.Unlock()
 		return RunStatus{}, fmt.Errorf("fleet: %d runs in flight: %w", r.cfg.InflightLimit, ErrSaturated)
 	}
-	r.seq++
-	id := fmt.Sprintf("fleet-%06d", r.seq)
-	spec := req.Spec
-	if spec.CheckpointDir == "" && ckptRoot != "" {
-		spec.CheckpointDir = filepath.Join(ckptRoot, safePathComponent(id))
+	rn := &run{Record: sched.Record{Tenant: req.Tenant, Priority: req.Priority, Weight: spec.Weight}, spec: spec}
+	r.runs.AddLocked(&rn.Record)
+	if rn.spec.CheckpointDir == "" && ckptRoot != "" {
+		rn.spec.CheckpointDir = filepath.Join(ckptRoot, rn.ID)
 	}
-	rn := &run{
-		seq:       r.seq,
-		id:        id,
-		tenant:    req.Tenant,
-		priority:  req.Priority,
-		spec:      spec,
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	r.runs[rn.id] = rn
-	r.subs++
-	r.active++
-	r.publishState(rn)
-	st := rn.status()
+	rn.CheckpointDir = rn.spec.CheckpointDir
+	r.inflight[rn.ID] = rn
+	st := rn.Status()
 	r.mu.Unlock()
 
 	r.wg.Add(1)
@@ -553,32 +473,32 @@ func (w *workerState) busy() int {
 // the dispatch deadline. Returns true when the worker accepted the run.
 func (r *Router) dispatch(rn *run, w *workerState, resume bool) bool {
 	r.mu.Lock()
-	rn.attempt++
-	attempt := rn.attempt
+	rn.Attempt++
+	attempt := rn.Attempt
 	// Record the placement now, not on ack: a short run's result can beat
 	// the ack through the mailbox, and the terminal record must still say
 	// where it executed.
-	rn.placement = w.id
+	rn.Placement = w.id
 	spec := rn.spec
 	if resume && spec.CheckpointDir != "" {
 		spec.Resume = true
 	}
 	ackCh := make(chan ackMsg, 1)
-	r.acks[rn.id] = ackCh
+	r.acks[rn.ID] = pendingAck{ackCh, attempt}
 	r.mu.Unlock()
 
 	release := func() {
 		r.mu.Lock()
-		delete(r.acks, rn.id)
+		delete(r.acks, rn.ID)
 		w.inflight--
 		r.mu.Unlock()
 	}
-	msg := dispatchMsg{RunID: rn.id, Attempt: attempt, Tenant: rn.tenant, Spec: spec}
+	msg := dispatchMsg{RunID: rn.ID, Attempt: attempt, Tenant: rn.Tenant, Spec: spec}
 	if err := send(r.port, RouterPort, w.port, KindDispatch, msg); err != nil {
 		release()
 		r.workerFailed(w)
 		dispatchSendErr.Inc()
-		r.reportErr(fmt.Errorf("fleet: dispatch %s to %s: %w", rn.id, w.id, err))
+		r.reportErr(fmt.Errorf("fleet: dispatch %s to %s: %w", rn.ID, w.id, err))
 		return false
 	}
 	timer := time.NewTimer(r.cfg.DispatchDeadline)
@@ -592,19 +512,14 @@ func (r *Router) dispatch(rn *run, w *workerState, resume bool) bool {
 			return false
 		}
 		r.mu.Lock()
-		delete(r.acks, rn.id)
+		delete(r.acks, rn.ID)
 		w.failures = 0
 		// The run may already be terminal — its result can arrive before
 		// this goroutine wakes. Never un-finish it.
-		if !rn.state.terminal() {
-			rn.state = StateRunning
-			r.publishState(rn)
+		if !rn.State.Terminal() {
+			r.runs.SetLocked(&rn.Record, StateRunning)
 		}
-		if !rn.started {
-			rn.started = true
-			rn.startedAt = time.Now()
-			metricPlacementSeconds.Observe(rn.startedAt.Sub(rn.submitted).Seconds())
-		}
+		r.startedLocked(rn)
 		r.mu.Unlock()
 		dispatchOK.Inc()
 		return true
@@ -648,7 +563,7 @@ func (r *Router) runLocal(rn *run, resume bool) {
 		r.finish(rn, StateFailed, fmt.Sprintf("materialize: %v", err), false, nil)
 		return
 	}
-	st, err := r.local.Submit(sched.SubmitRequest{Tenant: rn.tenant, Priority: rn.priority, Weight: rn.spec.Weight, Spec: rs})
+	st, err := r.local.Submit(sched.SubmitRequest{Tenant: rn.Tenant, Priority: rn.Priority, Weight: rn.spec.Weight, Spec: rs})
 	if err != nil {
 		if errors.Is(err, sched.ErrDraining) {
 			r.finishUnplaced(rn)
@@ -658,15 +573,10 @@ func (r *Router) runLocal(rn *run, resume bool) {
 		return
 	}
 	r.mu.Lock()
-	rn.attempt++
-	rn.state = StateRunning
-	r.publishState(rn)
-	rn.placement = "local"
-	if !rn.started {
-		rn.started = true
-		rn.startedAt = time.Now()
-		metricPlacementSeconds.Observe(rn.startedAt.Sub(rn.submitted).Seconds())
-	}
+	rn.Attempt++
+	rn.Placement = "local"
+	r.runs.SetLocked(&rn.Record, StateRunning)
+	r.startedLocked(rn)
 	r.fallbacks++
 	r.mu.Unlock()
 	metricLocalFallbacks.Inc()
@@ -686,11 +596,23 @@ func (r *Router) runLocal(rn *run, resume bool) {
 	}
 }
 
+// startedLocked stamps the run's first successful placement (a remote
+// ack or local admission). Callers hold r.mu.
+func (r *Router) startedLocked(rn *run) {
+	if rn.Started.IsZero() {
+		rn.Started = time.Now()
+		metricPlacementSeconds.Observe(rn.Started.Sub(rn.Submitted).Seconds())
+	}
+}
+
 // finishUnplaced records a run stopped by a drain before (re)placement
 // completed: drained-resumable if it ever started and can continue from
 // checkpoints, cancelled otherwise.
 func (r *Router) finishUnplaced(rn *run) {
-	if rn.started && rn.spec.CheckpointDir != "" {
+	r.mu.Lock()
+	started := !rn.Started.IsZero()
+	r.mu.Unlock()
+	if started && rn.spec.CheckpointDir != "" {
 		r.finish(rn, StateDrained, "fleet draining before re-placement", true, nil)
 		return
 	}
@@ -701,26 +623,17 @@ func (r *Router) finishUnplaced(rn *run) {
 // dropped.
 func (r *Router) finish(rn *run, state State, errText string, resumable bool, res *core.RunResult) {
 	r.mu.Lock()
-	if rn.state.terminal() {
+	if rn.State.Terminal() {
 		r.mu.Unlock()
 		return
 	}
-	rn.state = state
-	rn.err = errText
-	rn.resumable = resumable
-	rn.result = res
-	rn.finished = time.Now()
-	r.publishState(rn)
-	r.active--
-	r.counts[state]++
-	r.order = append(r.order, rn.id)
-	for len(r.order) > r.cfg.KeepFinished {
-		delete(r.runs, r.order[0])
-		r.order = r.order[1:]
-	}
+	rn.Err = errText
+	rn.Resumable = resumable
+	rn.Result = res
+	r.runs.FinishLocked(&rn.Record, state)
+	delete(r.inflight, rn.ID)
 	r.mu.Unlock()
 	metricRunsTotal.With(string(state)).Inc()
-	rn.doneO.Do(func() { close(rn.done) })
 }
 
 // recvLoop consumes the router mailbox until the port closes.
@@ -819,27 +732,25 @@ func (r *Router) handleHeartbeat(hb heartbeatMsg) {
 
 func (r *Router) handleAck(a ackMsg) {
 	r.mu.Lock()
-	rn := r.runs[a.RunID]
-	ch := r.acks[a.RunID]
-	stale := rn == nil || rn.attempt != a.Attempt
+	pa, ok := r.acks[a.RunID]
 	r.mu.Unlock()
-	if stale || ch == nil {
+	if !ok || pa.attempt != a.Attempt {
 		return
 	}
 	select {
-	case ch <- a:
+	case pa.ch <- a:
 	default:
 	}
 }
 
 func (r *Router) handleResult(res resultMsg) {
 	r.mu.Lock()
-	rn := r.runs[res.RunID]
-	if rn == nil || rn.state.terminal() || rn.attempt != res.Attempt {
+	rn := r.inflight[res.RunID]
+	if rn == nil || rn.Attempt != res.Attempt {
 		r.mu.Unlock()
 		return // stale attempt: a superseded placement reported in late
 	}
-	if w := r.workers[rn.placement]; w != nil && w.inflight > 0 {
+	if w := r.workers[rn.Placement]; w != nil && w.inflight > 0 {
 		w.inflight--
 	}
 	drainingNow := r.draining
@@ -912,8 +823,8 @@ func (r *Router) evict(id, cause string) {
 	w.inflight = 0
 	r.evictions++
 	var orphans []*run
-	for _, rn := range r.runs {
-		if !rn.state.terminal() && rn.placement == id && rn.state == StateRunning {
+	for _, rn := range r.inflight {
+		if rn.Placement == id && rn.State == StateRunning {
 			orphans = append(orphans, rn)
 		}
 	}
@@ -941,19 +852,18 @@ func (r *Router) failover(rn *run) {
 	// Only a currently placed run can fail over; StateQueued means another
 	// failover already owns the re-placement (evict and a late drained
 	// result can both nominate the same run).
-	if rn.state != StateRunning {
+	if rn.State != StateRunning {
 		r.mu.Unlock()
 		return
 	}
 	// Invalidate the lost placement immediately: any ack or result still in
 	// flight from the dead worker now carries a stale attempt number.
-	rn.attempt++
-	rn.failovers++
+	rn.Attempt++
+	rn.Failovers++
 	r.failovers++
-	exhausted := rn.failovers > r.cfg.MaxFailovers
-	rn.state = StateQueued
-	r.publishState(rn)
-	rn.placement = ""
+	exhausted := rn.Failovers > r.cfg.MaxFailovers
+	rn.Placement = ""
+	r.runs.SetLocked(&rn.Record, StateQueued)
 	draining := r.draining
 	r.mu.Unlock()
 	metricFailovers.Inc()
@@ -970,76 +880,6 @@ func (r *Router) failover(rn *run) {
 		}
 		r.place(rn, true)
 	}()
-}
-
-// Status returns one run's snapshot.
-func (r *Router) Status(id string) (RunStatus, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rn, ok := r.runs[id]
-	if !ok {
-		return RunStatus{}, false
-	}
-	return rn.status(), true
-}
-
-// Wait blocks until the run reaches a terminal state (or ctx ends).
-func (r *Router) Wait(ctx context.Context, id string) (RunStatus, error) {
-	r.mu.Lock()
-	rn, ok := r.runs[id]
-	r.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("fleet: unknown run %q", id)
-	}
-	select {
-	case <-rn.done:
-	case <-ctx.Done():
-		return RunStatus{}, ctx.Err()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return rn.status(), nil
-}
-
-// Runs lists every retained run record in submission order.
-func (r *Router) Runs() []RunStatus {
-	return r.RunsPage("", 0)
-}
-
-// DefaultRunsLimit caps an HTTP /sched/runs page when no explicit
-// ?limit= is given.
-const DefaultRunsLimit = 256
-
-// RunsPage lists retained run records in submission order, skipping runs
-// submitted up to and including run ID after ("" starts from the oldest
-// retained record; IDs embed the submission sequence, so an evicted or
-// future ID still orders correctly). limit bounds the page size;
-// limit <= 0 means unbounded. Page through a large backlog by passing the
-// last returned ID as the next after.
-func (r *Router) RunsPage(after string, limit int) []RunStatus {
-	afterSeq := 0
-	if after != "" {
-		if n, err := strconv.Atoi(strings.TrimPrefix(after, "fleet-")); err == nil {
-			afterSeq = n
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rs := make([]*run, 0, len(r.runs))
-	for _, rn := range r.runs {
-		if rn.seq > afterSeq {
-			rs = append(rs, rn)
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].seq < rs[j].seq })
-	if limit > 0 && len(rs) > limit {
-		rs = rs[:limit]
-	}
-	out := make([]RunStatus, len(rs))
-	for i, rn := range rs {
-		out[i] = rn.status()
-	}
-	return out
 }
 
 // Workers lists the router's view of the fleet, evicted members included.
@@ -1071,12 +911,12 @@ func (r *Router) Stats() Stats {
 	now := time.Now()
 	st := Stats{
 		Draining:       r.draining,
-		Submitted:      r.subs,
-		Active:         r.active,
-		Done:           r.counts[StateDone],
-		Failed:         r.counts[StateFailed],
-		Drained:        r.counts[StateDrained],
-		Cancelled:      r.counts[StateCancelled],
+		Submitted:      r.runs.CountLocked(StateQueued),
+		Active:         len(r.inflight),
+		Done:           r.runs.CountLocked(StateDone),
+		Failed:         r.runs.CountLocked(StateFailed),
+		Drained:        r.runs.CountLocked(StateDrained),
+		Cancelled:      r.runs.CountLocked(StateCancelled),
 		Failovers:      r.failovers,
 		Evictions:      r.evictions,
 		LocalFallbacks: r.fallbacks,
@@ -1136,7 +976,7 @@ func (r *Router) Drain(ctx context.Context) error {
 	defer ticker.Stop()
 	for {
 		r.mu.Lock()
-		active := r.active
+		active := len(r.inflight)
 		r.mu.Unlock()
 		if active == 0 {
 			r.stopO.Do(func() { close(r.stopped) })

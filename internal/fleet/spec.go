@@ -136,8 +136,8 @@ func DefaultMaterializer() Materializer {
 	}
 }
 
-// strategyByName resolves a strategy the same way pragma-node's replay
-// mode does, returning a fresh instance per call.
+// strategyByName resolves a strategy name, returning a fresh instance per
+// call. pragma-node's -replay and -sched resolve names through it too.
 func strategyByName(name string) (core.Strategy, error) {
 	switch name {
 	case "", "adaptive":

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -17,6 +18,28 @@ import (
 // generated traces across submissions).
 type SpecBuilder func(tenant string, priority int, v url.Values) (RunSpec, error)
 
+// Surface is one executor's side of the /sched/* HTTP surface. The
+// handler parses tenant, priority and weight, maps admission errors to
+// status codes, and serves status, runs, stats, drain and events the
+// same way for a single-node Scheduler and a fleet Router; the executor
+// supplies its submit step, its stats and its drain.
+type Surface struct {
+	// View serves /sched/status and /sched/runs.
+	View View
+	// Submit admits one run from a submit request's remaining wire
+	// parameters. nil answers 501.
+	Submit func(tenant string, priority int, weight float64, v url.Values) (RunStatus, error)
+	// Stats is the executor's aggregate state for /sched/stats and the
+	// drain response.
+	Stats func() any
+	// Drain stops the executor gracefully; it returns once drained.
+	Drain func(context.Context) error
+	// Events, when non-nil, is served at /sched/events.
+	Events *stream.Hub
+	// Extra maps more GET paths to the value they answer with as JSON.
+	Extra map[string]func() any
+}
+
 // Handler exposes the scheduler over HTTP, designed to be mounted on the
 // telemetry server's mux:
 //
@@ -29,18 +52,42 @@ type SpecBuilder func(tenant string, priority int, v url.Values) (RunSpec, error
 // Submit returns 202 on admission, 429 with Retry-After under backpressure
 // (saturation or tenant limit), and 503 while draining.
 func Handler(s *Scheduler, build SpecBuilder) http.Handler {
+	sf := Surface{
+		View:   s.View,
+		Stats:  func() any { return s.Stats() },
+		Drain:  s.Drain,
+		Events: s.cfg.Events,
+	}
+	if build != nil {
+		sf.Submit = func(tenant string, priority int, weight float64, v url.Values) (RunStatus, error) {
+			spec, err := build(tenant, priority, v)
+			if err != nil {
+				return RunStatus{}, err
+			}
+			// Keep the wire form: it is what Snapshot persists so a queued
+			// or drained run survives a process roll (see Snapshot/Restore).
+			if spec.Wire == nil {
+				spec.Wire = v
+			}
+			return s.Submit(SubmitRequest{Tenant: tenant, Priority: priority, Weight: weight, Spec: spec})
+		}
+	}
+	return sf.Handler()
+}
+
+// Handler builds the /sched/* mux for the surface.
+func (sf Surface) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sched/submit", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		if build == nil {
+		if sf.Submit == nil {
 			httpError(w, http.StatusNotImplemented, "no spec builder configured")
 			return
 		}
 		v := req.URL.Query()
-		tenant := v.Get("tenant")
 		priority := 0
 		if p := v.Get("priority"); p != "" {
 			n, err := strconv.Atoi(p)
@@ -62,17 +109,7 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 			}
 			weight = f
 		}
-		spec, err := build(tenant, priority, v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		// Keep the wire form: it is what Snapshot persists so a queued or
-		// drained run survives a process roll (see Snapshot/Restore).
-		if spec.Wire == nil {
-			spec.Wire = v
-		}
-		st, err := s.Submit(SubmitRequest{Tenant: tenant, Priority: priority, Weight: weight, Spec: spec})
+		st, err := sf.Submit(v.Get("tenant"), priority, weight, v)
 		switch {
 		case errors.Is(err, ErrSaturated), errors.Is(err, ErrTenantLimit):
 			w.Header().Set("Retry-After", "1")
@@ -89,7 +126,7 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 		// Hot path: pooled zero-allocation encode, byte-identical to the
 		// encoding/json wire format (held by differential tests).
 		b := jsonenc.Get()
-		ok := s.statusJSONLocked(req.URL.Query().Get("id"), b)
+		ok := sf.View.statusJSONLocked(req.URL.Query().Get("id"), b)
 		if !ok {
 			jsonenc.Put(b)
 			httpError(w, http.StatusNotFound, "unknown run id")
@@ -116,7 +153,7 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 				limit = n
 			}
 		}
-		runs := s.RunsPage(v.Get("after"), limit)
+		runs := sf.View.RunsPage(v.Get("after"), limit)
 		b := jsonenc.Get()
 		b.Byte('[')
 		for i := range runs {
@@ -131,21 +168,26 @@ func Handler(s *Scheduler, build SpecBuilder) http.Handler {
 		jsonenc.Put(b)
 	})
 	mux.HandleFunc("/sched/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		writeJSON(w, http.StatusOK, sf.Stats())
 	})
 	mux.HandleFunc("/sched/drain", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		if err := s.Drain(req.Context()); err != nil {
+		if err := sf.Drain(req.Context()); err != nil {
 			httpError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Stats())
+		writeJSON(w, http.StatusOK, sf.Stats())
 	})
-	if s.cfg.Events != nil {
-		mux.Handle("/sched/events", stream.Handler(s.cfg.Events, stream.HandlerConfig{}))
+	for path, value := range sf.Extra {
+		mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
+			writeJSON(w, http.StatusOK, value())
+		})
+	}
+	if sf.Events != nil {
+		mux.Handle("/sched/events", stream.Handler(sf.Events, stream.HandlerConfig{}))
 	}
 	// JSON 404 for unknown /sched/ paths: every error this surface emits
 	// is application/json, including routing misses.

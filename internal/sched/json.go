@@ -24,6 +24,18 @@ func appendStatusJSON(b *jsonenc.Buffer, st *RunStatus) {
 	b.Float(st.Weight)
 	b.Raw(`,"state":`)
 	b.String(string(st.State))
+	if st.Placement != "" {
+		b.Raw(`,"placement":`)
+		b.String(st.Placement)
+	}
+	if st.Attempt != 0 {
+		b.Raw(`,"attempt":`)
+		b.Int(int64(st.Attempt))
+	}
+	if st.Failovers != 0 {
+		b.Raw(`,"failovers":`)
+		b.Int(int64(st.Failovers))
+	}
 	b.Raw(`,"submitted":`)
 	b.Time(st.Submitted)
 	if !st.Started.IsZero() {
@@ -127,20 +139,4 @@ func appendSnapshotStatJSON(b *jsonenc.Buffer, s *core.SnapshotStat) {
 	b.Raw(`,"Overhead":`)
 	b.Float(s.Overhead)
 	b.Byte('}')
-}
-
-// statusJSONLocked looks up id and appends its status document under the
-// scheduler lock, reporting whether the run exists. The lock scope is one
-// map probe plus an in-memory append — the same footprint Status has.
-func (s *Scheduler) statusJSONLocked(id string, b *jsonenc.Buffer) bool {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	st := r.status()
-	appendStatusJSON(b, &st)
-	s.mu.Unlock()
-	return true
 }

@@ -73,6 +73,19 @@ func TestStatusJSONMatchesEncodingJSON(t *testing.T) {
 		Error:     "core: regrid 3: run interrupted at regrid boundary",
 		Resumable: true, CheckpointDir: "/tmp/ckpt/t/run",
 	})
+
+	// Fleet-shaped statuses: a placed run mid-failover, and a done run
+	// that degraded to the router's local pool with its result attached.
+	assertStatusJSON(t, "fleet-running", RunStatus{
+		ID: "fleet-000003", Tenant: "acme", Priority: 1, State: StateRunning,
+		Placement: "w\"2\"", Attempt: 4, Failovers: 2,
+		Submitted: time.Now(), Started: time.Now(), QueueSeconds: 0.5,
+	})
+	assertStatusJSON(t, "fleet-local-done", RunStatus{
+		ID: "fleet-000004", State: StateDone, Placement: "local", Attempt: 1,
+		Submitted: time.Now(), Started: time.Now(), Finished: time.Now(),
+		Result: final.Result,
+	})
 }
 
 func TestHandlerStatusAndRunsWireFormatUnchanged(t *testing.T) {
@@ -88,6 +101,11 @@ func TestHandlerStatusAndRunsWireFormatUnchanged(t *testing.T) {
 	if _, err := s.Wait(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
+	// A fleet router serves its records through the same encoder; give
+	// this one placement fields so the runs page below carries them too.
+	s.mu.Lock()
+	s.runs.recs[st.ID].Placement, s.runs.recs[st.ID].Attempt, s.runs.recs[st.ID].Failovers = "w0", 2, 1
+	s.mu.Unlock()
 
 	got, ok := s.Status(st.ID)
 	if !ok {

@@ -167,13 +167,21 @@ func TestPreemptionOverShareSameBand(t *testing.T) {
 		}
 		return costRun(1)(nil)
 	}
-	if _, err := s.Submit(SubmitRequest{Tenant: "bg", RunFunc: costRun(10)}); err != nil {
+	// The earner waits until the blocker is admitted: finishing first
+	// would empty bg's load and reset its service.
+	blockerAdmitted := make(chan struct{})
+	earner := func(interrupt <-chan struct{}) (*core.RunResult, error) {
+		<-blockerAdmitted
+		return costRun(10)(interrupt)
+	}
+	if _, err := s.Submit(SubmitRequest{Tenant: "bg", RunFunc: earner}); err != nil {
 		t.Fatal(err)
 	}
 	stB, err := s.Submit(SubmitRequest{Tenant: "bg", RunFunc: blocker})
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(blockerAdmitted)
 	<-bgBlocked
 
 	var fgOrder, bgOrder time.Time

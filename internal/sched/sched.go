@@ -38,9 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -153,14 +150,6 @@ type RunSpec struct {
 	// Resume continues from the latest valid checkpoint in CheckpointDir
 	// (how a run drained by a previous instance is picked back up).
 	Resume bool
-	// EmulateSteps, when positive, follows the replay by running the final
-	// snapshot on the message-passing engine for this many BSP steps under
-	// worker supervision: every barrier wait is bounded by EmulateDeadline
-	// and lost workers are remapped onto survivors up to EmulateRetries
-	// times (engine.RunRecovering) before the run fails.
-	EmulateSteps    int
-	EmulateDeadline time.Duration
-	EmulateRetries  int
 	// Wire, when set, is the submission's serializable description — the
 	// query parameters a SpecBuilder would rebuild this spec from. The
 	// HTTP handler fills it automatically; programmatic submitters that
@@ -206,81 +195,16 @@ type SubmitRequest struct {
 	RunFunc func(interrupt <-chan struct{}) (*core.RunResult, error)
 }
 
-// State is a run's lifecycle phase.
-type State string
-
-// Run states. Queued, Running and Preempted are transient; the rest are
-// terminal.
-const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StatePreempted State = "preempted" // yielded its worker at a regrid boundary; requeued resumable
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateDrained   State = "drained"   // interrupted at a regrid boundary; checkpointed if configured
-	StateCancelled State = "cancelled" // still queued when the drain began; never started
-)
-
-// terminal reports whether a state is final.
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateDrained || s == StateCancelled
-}
-
-// RunStatus is the externally visible snapshot of one run.
-type RunStatus struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority"`
-	// Weight is the tenant's fair-share weight as of this run's admission.
-	Weight float64 `json:"weight"`
-	State  State   `json:"state"`
-
-	Submitted time.Time `json:"submitted"`
-	Started   time.Time `json:"started,omitzero"`
-	Finished  time.Time `json:"finished,omitzero"`
-
-	// QueueSeconds and RunSeconds are filled as the phases complete.
-	QueueSeconds float64 `json:"queueSeconds"`
-	RunSeconds   float64 `json:"runSeconds"`
-
-	// Preemptions counts how many times this run was interrupted to hand
-	// its worker to an under-share or higher-band submission; each one
-	// checkpointed the run and requeued it resumable.
-	Preemptions int `json:"preemptions,omitempty"`
-
-	// Error describes a failed run, or the interrupt a drained one
-	// stopped with.
-	Error string `json:"error,omitempty"`
-	// Resumable marks a drained run that can be resubmitted with
-	// Spec.Resume against the same CheckpointDir and continue (or, with no
-	// checkpoint written yet, correctly restart) toward the identical
-	// final result.
-	Resumable bool `json:"resumable,omitempty"`
-	// CheckpointDir echoes the spec's checkpoint location for resubmission.
-	CheckpointDir string `json:"checkpointDir,omitempty"`
-	// Result is the completed run's execution profile (done runs only).
-	Result *core.RunResult `json:"result,omitempty"`
-}
-
-// run is the scheduler's internal record.
+// run is the scheduler's per-run execution state; rec is its record in
+// the run table. id, tenant and priority key the fair queue.
 type run struct {
-	seq      int
 	id       string
 	tenant   string
 	priority int
-	weight   float64
+	rec      Record
 	spec     RunSpec
 	fromSpec bool // built from Spec (true) or a caller RunFunc (false)
 	runFn    func(interrupt <-chan struct{}) (*core.RunResult, error)
-
-	state     State
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	err       error
-	errText   string // err.Error(), cached once at finish for the hot status path
-	result    *core.RunResult
-	done      chan struct{} // closed on terminal state
 
 	// Per-dispatch interrupt plumbing: a fresh channel per attempt,
 	// closed once by a preemption or a drain (intClosed guards the close).
@@ -289,43 +213,11 @@ type run struct {
 	// preempting marks a run whose interrupt was fired to yield its
 	// worker (as opposed to a drain); finish requeues it instead of
 	// recording a terminal state.
-	preempting  bool
-	preemptions int
+	preempting bool
 	// charged is the cumulative cost already billed to the tenant for
 	// this run, so a preempted-and-resumed run is only charged the delta
 	// each attempt adds.
 	charged float64
-}
-
-func (r *run) status() RunStatus {
-	st := RunStatus{
-		ID:          r.id,
-		Tenant:      r.tenant,
-		Priority:    r.priority,
-		Weight:      r.weight,
-		State:       r.state,
-		Submitted:   r.submitted,
-		Started:     r.started,
-		Finished:    r.finished,
-		Preemptions: r.preemptions,
-	}
-	if !r.started.IsZero() {
-		st.QueueSeconds = r.started.Sub(r.submitted).Seconds()
-		if !r.finished.IsZero() {
-			st.RunSeconds = r.finished.Sub(r.started).Seconds()
-		}
-	}
-	if r.err != nil {
-		st.Error = r.errText
-	}
-	if r.state == StateDrained || r.state == StatePreempted {
-		st.Resumable = r.spec.CheckpointDir != ""
-		st.CheckpointDir = r.spec.CheckpointDir
-	}
-	if r.state == StateDone {
-		st.Result = r.result
-	}
-	return st
 }
 
 // Stats is a point-in-time view of the scheduler.
@@ -348,21 +240,19 @@ type Stats struct {
 
 // Scheduler multiplexes runs over a bounded worker pool.
 type Scheduler struct {
+	View // Status, Wait, Runs and RunsPage over runs
+
 	cfg Config
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	queue       *fairQueue
-	runs        map[string]*run
+	runs        *Table
 	running     map[string]*run // dispatched and executing (preemption victim pool)
-	finished    []string        // eviction order of terminal records
 	tenantLoad  map[string]int
 	weights     map[string]float64       // current weight per active tenant
 	gauges      map[string]*tenantGauges // pre-resolved per-tenant metric children
-	counts      map[State]int
 	active      int
-	submitted   int
-	seq         int
 	preemptions int
 	draining    bool
 
@@ -379,13 +269,13 @@ func New(cfg Config) *Scheduler {
 		cfg:        cfg,
 		stopped:    make(chan struct{}),
 		queue:      newFairQueue(),
-		runs:       make(map[string]*run),
 		running:    make(map[string]*run),
 		tenantLoad: make(map[string]int),
 		weights:    make(map[string]float64),
 		gauges:     make(map[string]*tenantGauges),
-		counts:     make(map[State]int),
 	}
+	s.runs = NewTable(&s.mu, "run-", cfg.KeepFinished, cfg.Events)
+	s.View = s.runs.View()
 	s.cond = sync.NewCond(&s.mu)
 	metricWorkers.Set(float64(cfg.Workers))
 	s.wg.Add(cfg.Workers)
@@ -410,7 +300,7 @@ func (s *Scheduler) specRunFn(id string, spec RunSpec) func(<-chan struct{}) (*c
 				})
 			}
 		}
-		res, err := core.Run(spec.Trace, spec.Strategy, core.RunConfig{
+		return core.Run(spec.Trace, spec.Strategy, core.RunConfig{
 			Machine:         spec.Machine,
 			Cost:            spec.Cost,
 			NProcs:          spec.NProcs,
@@ -422,32 +312,7 @@ func (s *Scheduler) specRunFn(id string, spec RunSpec) func(<-chan struct{}) (*c
 			Interrupt:       interrupt,
 			OnRegrid:        onRegrid,
 		})
-		if err != nil {
-			return nil, err
-		}
-		if spec.EmulateSteps > 0 {
-			if err := emulateFinalSnapshot(spec); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
 	}
-}
-
-// publishState emits r's current lifecycle state to the events hub.
-// Callers hold s.mu: Hub.Publish never blocks, and publishing under the
-// scheduler lock is what guarantees a run's queued → running → terminal
-// events reach the hub in order.
-func (s *Scheduler) publishState(r *run) {
-	if s.cfg.Events == nil {
-		return
-	}
-	s.cfg.Events.Publish(stream.Event{
-		Run:   r.id,
-		Type:  stream.TypeState,
-		State: string(r.state),
-		Error: r.errText,
-	})
 }
 
 // Submit admits a run or rejects it with ErrSaturated, ErrTenantLimit or
@@ -485,32 +350,32 @@ func (s *Scheduler) Submit(req SubmitRequest) (RunStatus, error) {
 		w = DefaultWeight
 		s.weights[req.Tenant] = w
 	}
-	s.seq++
 	r := &run{
-		seq:       s.seq,
-		id:        fmt.Sprintf("run-%06d", s.seq),
-		tenant:    req.Tenant,
-		priority:  req.Priority,
-		weight:    w,
-		spec:      req.Spec,
-		fromSpec:  req.RunFunc == nil,
-		runFn:     req.RunFunc,
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+		tenant:   req.Tenant,
+		priority: req.Priority,
+		rec: Record{
+			Tenant:        req.Tenant,
+			Priority:      req.Priority,
+			Weight:        w,
+			CheckpointDir: req.Spec.CheckpointDir,
+			Resumable:     req.Spec.CheckpointDir != "",
+			Wire:          req.Spec.Wire,
+		},
+		spec:     req.Spec,
+		fromSpec: req.RunFunc == nil,
+		runFn:    req.RunFunc,
 	}
+	s.runs.AddLocked(&r.rec)
+	r.id = r.rec.ID
 	if r.runFn == nil {
 		r.runFn = s.specRunFn(r.id, req.Spec)
 	}
-	s.runs[r.id] = r
-	s.submitted++
 	s.tenantLoad[r.tenant]++
 	s.queue.push(r)
 	metricQueueDepth.Set(float64(s.queue.len()))
 	s.gaugesLocked(r.tenant).weight.Set(w)
 	s.maybePreemptLocked(r)
-	s.publishState(r)
-	st := r.status()
+	st := r.rec.Status()
 	s.mu.Unlock()
 
 	admitAccepted.Inc()
@@ -561,7 +426,7 @@ func (s *Scheduler) maybePreemptLocked(sub *run) {
 		}
 	}
 	victim.preempting = true
-	victim.preemptions++
+	victim.rec.Preemptions++
 	s.preemptions++
 	s.closeInterruptLocked(victim)
 	metricPreemptions.Inc()
@@ -590,8 +455,8 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		r.state = StateRunning
-		r.started = time.Now()
+		r.rec.Started = time.Now()
+		wait := r.rec.Started.Sub(r.rec.Submitted)
 		r.interrupt = make(chan struct{})
 		r.intClosed = false
 		r.preempting = false
@@ -599,10 +464,10 @@ func (s *Scheduler) worker() {
 		s.active++
 		metricQueueDepth.Set(float64(s.queue.len()))
 		metricActiveRuns.Set(float64(s.active))
-		s.publishState(r)
+		s.runs.SetLocked(&r.rec, StateRunning)
 		s.mu.Unlock()
 
-		metricQueueWaitSeconds.Observe(r.started.Sub(r.submitted).Seconds())
+		metricQueueWaitSeconds.Observe(wait.Seconds())
 		s.execute(r)
 	}
 }
@@ -643,9 +508,6 @@ func (s *Scheduler) finish(r *run, res *core.RunResult, err error) {
 		// tenant's FIFO — service credit intact — flagged to resume from
 		// the checkpoint on its next dispatch.
 		r.preempting = false
-		r.state = StatePreempted
-		r.err = nil
-		r.errText = ""
 		if r.fromSpec && r.spec.CheckpointDir != "" {
 			r.spec.Resume = true
 			r.runFn = s.specRunFn(r.id, r.spec)
@@ -654,7 +516,7 @@ func (s *Scheduler) finish(r *run, res *core.RunResult, err error) {
 		s.queue.pushFront(r)
 		metricActiveRuns.Set(float64(s.active))
 		metricQueueDepth.Set(float64(s.queue.len()))
-		s.publishState(r)
+		s.runs.SetLocked(&r.rec, StatePreempted)
 		s.mu.Unlock()
 
 		metricOutcomes.With(string(StatePreempted)).Inc()
@@ -662,12 +524,9 @@ func (s *Scheduler) finish(r *run, res *core.RunResult, err error) {
 		return
 	}
 	r.preempting = false
-	r.state = state
-	r.finished = time.Now()
-	r.result = res
-	r.err = err
+	r.rec.Result = res
 	if err != nil {
-		r.errText = err.Error()
+		r.rec.Err = err.Error()
 	}
 	s.active--
 	s.tenantLoad[r.tenant]--
@@ -675,15 +534,13 @@ func (s *Scheduler) finish(r *run, res *core.RunResult, err error) {
 		delete(s.tenantLoad, r.tenant)
 		s.tenantExitLocked(r.tenant)
 	}
-	s.counts[state]++
-	s.retire(r)
 	metricActiveRuns.Set(float64(s.active))
-	s.publishState(r)
+	s.runs.FinishLocked(&r.rec, state)
+	ran := r.rec.Finished.Sub(r.rec.Started)
 	s.mu.Unlock()
 
 	metricOutcomes.With(string(state)).Inc()
-	metricRunSeconds.With(string(state)).Observe(r.finished.Sub(r.started).Seconds())
-	close(r.done)
+	metricRunSeconds.With(string(state)).Observe(ran.Seconds())
 }
 
 // chargeLocked bills the tenant for the progress this attempt made, in
@@ -701,7 +558,7 @@ func (s *Scheduler) chargeLocked(r *run, res *core.RunResult, err error) {
 		if n, ok := interruptedAt(err); ok {
 			total = n
 		} else {
-			total = r.charged + time.Since(r.started).Seconds()
+			total = r.charged + time.Since(r.rec.Started).Seconds()
 		}
 	}
 	delta := total - r.charged
@@ -709,7 +566,7 @@ func (s *Scheduler) chargeLocked(r *run, res *core.RunResult, err error) {
 		return
 	}
 	r.charged = total
-	w := r.weight
+	w := r.rec.Weight
 	if w <= 0 {
 		w = DefaultWeight
 	}
@@ -745,16 +602,6 @@ func (s *Scheduler) tenantExitLocked(tenant string) {
 	s.gaugesLocked(tenant).service.Set(0)
 }
 
-// retire appends r to the terminal-record ring, evicting the oldest
-// records beyond KeepFinished. Callers hold s.mu.
-func (s *Scheduler) retire(r *run) {
-	s.finished = append(s.finished, r.id)
-	for len(s.finished) > s.cfg.KeepFinished {
-		delete(s.runs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-}
-
 // Drain gracefully stops the scheduler: admission closes, the backlog is
 // cancelled, every in-flight run is interrupted at its next regrid
 // boundary (checkpointing through its configured store first), and Drain
@@ -771,27 +618,21 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		}
 		cancelled := s.queue.drainAll()
 		metricQueueDepth.Set(0)
-		now := time.Now()
 		for _, r := range cancelled {
 			// A preempted run already checkpointed at a regrid boundary;
 			// it leaves as drained-resumable, exactly as if the drain had
 			// interrupted it itself. Never-started runs are cancelled.
 			state := StateCancelled
-			if r.state == StatePreempted {
+			if r.rec.State == StatePreempted {
 				state = StateDrained
 			}
-			r.state = state
-			r.finished = now
 			s.tenantLoad[r.tenant]--
 			if s.tenantLoad[r.tenant] <= 0 {
 				delete(s.tenantLoad, r.tenant)
 				s.tenantExitLocked(r.tenant)
 			}
-			s.counts[state]++
-			s.retire(r)
-			s.publishState(r)
+			s.runs.FinishLocked(&r.rec, state)
 			metricOutcomes.With(string(state)).Inc()
-			close(r.done)
 		}
 		s.cond.Broadcast()
 	}
@@ -828,77 +669,6 @@ func (s *Scheduler) Stopped() <-chan struct{} { return s.stopped }
 // reached a regrid boundary and stopped.
 func (s *Scheduler) Close() error { return s.Drain(context.Background()) }
 
-// Status returns the run's current snapshot.
-func (s *Scheduler) Status(id string) (RunStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.runs[id]
-	if !ok {
-		return RunStatus{}, false
-	}
-	return r.status(), true
-}
-
-// Wait blocks until the run reaches a terminal state (or ctx ends) and
-// returns its final status.
-func (s *Scheduler) Wait(ctx context.Context, id string) (RunStatus, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("sched: unknown run %q", id)
-	}
-	select {
-	case <-r.done:
-	case <-ctx.Done():
-		return RunStatus{}, ctx.Err()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return r.status(), nil
-}
-
-// Runs lists every retained run record in submission order.
-func (s *Scheduler) Runs() []RunStatus {
-	return s.RunsPage("", 0)
-}
-
-// DefaultRunsLimit caps an HTTP /sched/runs page when no explicit
-// ?limit= is given.
-const DefaultRunsLimit = 256
-
-// RunsPage lists retained run records in submission order, skipping runs
-// submitted up to and including run ID after ("" starts from the oldest
-// retained record; an evicted or future ID still orders correctly because
-// IDs embed the submission sequence). limit bounds the page size;
-// limit <= 0 means unbounded. Page through a large backlog by passing the
-// last returned ID as the next after.
-func (s *Scheduler) RunsPage(after string, limit int) []RunStatus {
-	afterSeq := 0
-	if after != "" {
-		if n, err := strconv.Atoi(strings.TrimPrefix(after, "run-")); err == nil {
-			afterSeq = n
-		}
-	}
-	s.mu.Lock()
-	rs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		if r.seq > afterSeq {
-			rs = append(rs, r)
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].seq < rs[j].seq })
-	if limit > 0 && len(rs) > limit {
-		rs = rs[:limit]
-	}
-	out := make([]RunStatus, len(rs))
-	for i, r := range rs {
-		out[i] = r.status()
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // Stats returns the scheduler's aggregate state.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
@@ -910,11 +680,11 @@ func (s *Scheduler) Stats() Stats {
 		TenantLimit: s.cfg.TenantLimit,
 		Active:      s.active,
 		Draining:    s.draining,
-		Submitted:   s.submitted,
-		Done:        s.counts[StateDone],
-		Failed:      s.counts[StateFailed],
-		Drained:     s.counts[StateDrained],
-		Cancelled:   s.counts[StateCancelled],
+		Submitted:   s.runs.CountLocked(StateQueued),
+		Done:        s.runs.CountLocked(StateDone),
+		Failed:      s.runs.CountLocked(StateFailed),
+		Drained:     s.runs.CountLocked(StateDrained),
+		Cancelled:   s.runs.CountLocked(StateCancelled),
 		Preemptions: s.preemptions,
 	}
 }

@@ -48,19 +48,21 @@ type snapshotDoc struct {
 // CRC-verified checkpoint container, so a serving process can roll
 // (drain, exit, restart, Restore) without losing a single admitted run.
 //
-// Take it after Drain completes: by then every run is either terminal or
-// drained-resumable, so the snapshot is the complete set of unfinished
-// work. A live snapshot is also valid but omits currently running runs
-// (they belong to this process until they finish or drain).
+// Only a snapshot taken after Drain completes is a handoff: by then every
+// run is either terminal or drained-resumable, so the snapshot is the
+// complete set of unfinished work and nothing in it still executes here.
+// A snapshot of a live scheduler omits running runs, and the queued runs
+// it captures keep executing in this process — restoring it elsewhere
+// would run them twice.
 //
 // Runs submitted without Spec.Wire cannot be rebuilt by a SpecBuilder and
 // are skipped; the skipped count is returned and recorded in the payload.
 // Done and failed runs are history, not backlog, and are not captured.
 func (s *Scheduler) Snapshot() (data []byte, skipped int, err error) {
 	s.mu.Lock()
-	rs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		switch r.state {
+	rs := make([]*Record, 0, len(s.runs.recs))
+	for _, r := range s.runs.recs {
+		switch r.State {
 		case StateQueued, StatePreempted, StateCancelled, StateDrained:
 			rs = append(rs, r)
 		}
@@ -68,19 +70,19 @@ func (s *Scheduler) Snapshot() (data []byte, skipped int, err error) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].seq < rs[j].seq })
 	doc := snapshotDoc{Schema: SnapshotSchema, Taken: time.Now()}
 	for _, r := range rs {
-		if len(r.spec.Wire) == 0 {
+		if len(r.Wire) == 0 {
 			doc.Skipped++
 			continue
 		}
 		doc.Runs = append(doc.Runs, SnapshotRun{
-			ID:       r.id,
-			Tenant:   r.tenant,
-			Priority: r.priority,
-			State:    r.state,
-			Wire:     r.spec.Wire,
-			Weight:   r.weight,
-			Resume: (r.state == StateDrained || r.state == StatePreempted) &&
-				r.spec.CheckpointDir != "",
+			ID:       r.ID,
+			Tenant:   r.Tenant,
+			Priority: r.Priority,
+			State:    r.State,
+			Wire:     r.Wire,
+			Weight:   r.Weight,
+			Resume: (r.State == StateDrained || r.State == StatePreempted) &&
+				r.CheckpointDir != "",
 		})
 	}
 	s.mu.Unlock()

@@ -213,14 +213,23 @@ func TestSnapshotCarriesWeights(t *testing.T) {
 		}
 	}
 
+	// Snapshot only a drained source: the drain cancels the queued backlog
+	// before the gate run is released, so nothing captured still executes
+	// in s1 (or writes checkpoints under ckptRoot) after the handoff.
+	drained := make(chan error, 1)
+	go func() { drained <- s1.Drain(context.Background()) }()
+	waitFor(t, "the drain to cancel the backlog", s1.Draining)
+	close(block)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
 	data, skipped, err := s1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 0 {
-		t.Fatalf("skipped %d, want 0 (the gate run is in flight, not backlog)", skipped)
+		t.Fatalf("skipped %d, want 0 (the gate run finished, it is not backlog)", skipped)
 	}
-	close(block)
 
 	s2 := New(Config{Workers: 1, QueueLimit: 16})
 	defer s2.Close()

@@ -704,7 +704,7 @@ func NewFleetWorker(cfg FleetWorkerConfig) (*FleetWorker, error) { return fleet.
 // NewFleetHandler exposes a fleet router over HTTP with the same /sched/
 // surface a single-node scheduler serves, plus /sched/fleet; a non-empty
 // checkpointRoot defaults every run to a resumable checkpoint directory
-// under it.
+// under it and refuses checkpoint= paths that leave it.
 func NewFleetHandler(r *FleetRouter, checkpointRoot string) http.Handler {
 	return fleet.Handler(r, checkpointRoot)
 }
